@@ -80,20 +80,21 @@ let time_runs f =
   done;
   (Unix.gettimeofday () -. start) /. float_of_int reps
 
-let measure_zone_cell source rows cutoff =
+let measure_zone_cell db rows cutoff =
   let q = parse_query (Printf.sprintf "ans(x, y) <- r(x, y), x < %d" cutoff) in
   let sorted ts = List.sort Tuple.compare ts in
-  let off = sorted (Eval.answer_tuples ~zone_maps:false source q) in
-  let on = sorted (Eval.answer_tuples ~zone_maps:true source q) in
+  let off_src = Eval.of_database db and on_src = Eval.of_database ~zone_maps:true db in
+  let off = sorted (Eval.answer_tuples off_src q) in
+  let on = sorted (Eval.answer_tuples on_src q) in
   if off <> on then
     failwith
       (Printf.sprintf "zone maps changed the answers at cutoff %d" cutoff);
   Eval.reset_counters ();
-  let _ = Eval.answer_tuples ~zone_maps:true source q in
+  let _ = Eval.answer_tuples on_src q in
   let c = Eval.counters () in
   let visited = c.Eval.zone_visited and pruned = c.Eval.zone_pruned in
-  let wall_off = time_runs (fun () -> ignore (Eval.answer_tuples ~zone_maps:false source q)) in
-  let wall_on = time_runs (fun () -> ignore (Eval.answer_tuples ~zone_maps:true source q)) in
+  let wall_off = time_runs (fun () -> ignore (Eval.answer_tuples off_src q)) in
+  let wall_on = time_runs (fun () -> ignore (Eval.answer_tuples on_src q)) in
   {
     z_cutoff = cutoff;
     z_rows = rows;
@@ -107,8 +108,7 @@ let measure_zone_cell source rows cutoff =
 
 let measure_zone zw =
   let db = zone_db zw.zw_rows in
-  let source = Eval.of_database db in
-  List.map (measure_zone_cell source zw.zw_rows) zw.zw_cutoffs
+  List.map (measure_zone_cell db zw.zw_rows) zw.zw_cutoffs
 
 let check_zone_gates ~where cells =
   (* the most selective cutoff is the headline: at least half the

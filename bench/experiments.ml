@@ -333,7 +333,6 @@ let e8 () =
       ( "neither",
         { Options.default with Options.use_sent_cache = false;
           use_subsumption_dedup = false } );
-      ("naive re-evaluation", { Options.default with Options.naive_delta = true });
     ]
   in
   let count_query = Parser.parse_query "a(k, w) <- anon(k, w)" in
@@ -584,10 +583,9 @@ let e13 () =
        ])
 
 (* E14 — planner ablation (the cost-based join planner of lib/cq/plan
-   vs the legacy greedy order, with and without composite indexes), on
-   a skewed multi-join workload.  Implemented in Planner_bench so that
-   `bench-json` can run the same measurement headlessly and emit
-   BENCH_planner.json. *)
+   with and without composite indexes), on a skewed multi-join
+   workload.  Implemented in Planner_bench so that `bench-json` can run
+   the same measurement headlessly and emit BENCH_planner.json. *)
 let e14 () = Planner_bench.run ~json:true ()
 
 (* E15 — wire ablation (compact codec vs the size estimator, batching

@@ -44,15 +44,6 @@ let eval_test name query size =
   Test.make ~name:(Printf.sprintf "%s/%d" name size)
     (Staged.stage (fun () -> ignore (Eval.answer_tuples source query)))
 
-(* the same join through the legacy left-to-right evaluator: the
-   ablation for the cost-based planner *)
-let eval_legacy_test name query size =
-  let db = make_db size in
-  let source = Eval.of_database db in
-  Test.make ~name:(Printf.sprintf "%s-legacy/%d" name size)
-    (Staged.stage (fun () ->
-         ignore (Eval.answer_tuples ~planner:false source query)))
-
 (* the same join without hash indexes: the ablation for the
    index-probing access path *)
 let eval_noindex_test name query size =
@@ -126,7 +117,7 @@ let zone_scan_test ~zone_maps ~pct size =
   for k = 0 to size - 1 do
     ignore (Database.insert db "r" [| Value.Int k; Value.Int (k * 7 mod 1009) |])
   done;
-  let source = Eval.of_database db in
+  let source = Eval.of_database ~zone_maps db in
   let cutoff = size * pct / 100 in
   let q = parse_query (Printf.sprintf "ans(x, y) <- r(x, y), x < %d" cutoff) in
   Test.make
@@ -134,7 +125,7 @@ let zone_scan_test ~zone_maps ~pct size =
       (Printf.sprintf "zone-scan%s/%d%%/%d"
          (if zone_maps then "" else "-off")
          pct size)
-    (Staged.stage (fun () -> ignore (Eval.answer_tuples ~zone_maps source q)))
+    (Staged.stage (fun () -> ignore (Eval.answer_tuples source q)))
 
 let update_test n =
   let cfg =
@@ -154,10 +145,8 @@ let tests =
       eval_test "scan" scan_query 1000;
       eval_test "join" join_query 100;
       eval_test "join" join_query 1000;
-      eval_legacy_test "join" join_query 1000;
       eval_noindex_test "join" join_query 1000;
       eval_test "self-join" self_join_query 100;
-      eval_legacy_test "self-join" self_join_query 100;
       delta_test 1000;
       delta_test 10000;
       insert_test 1000;

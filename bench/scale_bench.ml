@@ -181,8 +181,6 @@ let rows_of_ref r =
     Eval.all = (fun () -> Ref.to_list r);
     all_arr = None;
     size = Ref.cardinal r;
-    probe = Some (fun col v -> Ref.lookup r ~col v);
-    probe_arr = None;
     probe_cols = Some (fun bs -> Ref.lookup_cols r bs);
     probe_cols_arr = None;
     distinct = Some (fun col -> Ref.distinct_count r ~col);

@@ -173,7 +173,7 @@ let query_cmd file at text after_update scoped certain_only use_cache pushdown
 
 (* --- explain ------------------------------------------------------- *)
 
-let explain_cmd file at text legacy max_probe_cols pushdown =
+let explain_cmd file at text max_probe_cols pushdown =
   let sys = or_die (load_system file) in
   let q = parse_query_or_die text in
   (match Codb_cq.Query.well_formed ~allow_existential_head:false q with
@@ -182,17 +182,8 @@ let explain_cmd file at text legacy max_probe_cols pushdown =
       prerr_endline ("explain: " ^ reason);
       exit 1);
   let store = (System.node sys at).Codb_core.Node.store in
-  let opts = System.opts sys in
-  let source =
-    Codb_cq.Eval.of_database ~index_budget:opts.Options.index_budget store
-  in
-  if legacy then Fmt.pr "planner disabled: legacy left-to-right greedy order@."
-  else begin
-    let plan =
-      Codb_cq.Eval.plan_for ?max_probe_cols source q
-    in
-    Fmt.pr "%s@." (Codb_cq.Plan.explain q plan)
-  end;
+  let source = Codb_core.Wrapper.eval_source (System.opts sys) store in
+  Fmt.pr "%s@." (Codb_cq.Plan.explain q (Codb_cq.Eval.plan_for ?max_probe_cols source q));
   if pushdown then
     List.iter
       (fun rel ->
@@ -738,11 +729,6 @@ let explain_t =
       & pos 1 (some string) None
       & info [] ~docv:"QUERY" ~doc:"e.g. \"ans(x) <- r(x, y), s(y, z)\".")
   in
-  let legacy =
-    Arg.(
-      value & flag
-      & info [ "legacy" ] ~doc:"Show what runs with the planner disabled instead.")
-  in
   let max_probe_cols =
     Arg.(
       value
@@ -760,7 +746,7 @@ let explain_t =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const explain_cmd $ file_arg $ at $ text $ legacy $ max_probe_cols $ pushdown)
+      const explain_cmd $ file_arg $ at $ text $ max_probe_cols $ pushdown)
 
 let cache_t =
   let doc = "Exercise the query-answer cache on a repeated workload." in

@@ -251,7 +251,10 @@ let put_snapshot w (node : Node.t) =
       Codec.varint w 0;
       Codec.varint w 0
   | Some relay ->
-      Codec.varint w (Relay.next_seq relay);
+      (* the reservation's end, not the relay's counter: this snapshot
+         truncates the [Seq_reserve] record, and numbers below its end
+         may already be out unlogged *)
+      Codec.varint w (max (Relay.next_seq relay) node.Node.wal_reserved);
       let seen = Relay.seen_keys relay in
       Codec.varint w (List.length seen);
       List.iter (Codec.raw_string w) seen);

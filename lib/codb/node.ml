@@ -221,8 +221,8 @@ let has_live_callbacks node =
        (fun _ m acc -> acc || Codb_sub.Mirror.has_callback m)
        node.sub_mirrors false
 
-let is_consistent node =
-  let source = Eval.of_database node.store in
+let is_consistent ~opts node =
+  let source = Wrapper.eval_source opts node.store in
   let violated q = Eval.answers source q <> [] in
   let consistent = not (List.exists violated node.decl.Config.constraints) in
   Stats.set_inconsistent node.stats (not consistent);

@@ -146,7 +146,8 @@ val has_live_callbacks : t -> bool
     so the parallel runtime keeps the node's handlers on the
     simulation domain. *)
 
-val is_consistent : t -> bool
-(** Evaluate the node's denial constraints against the store; record
-    the verdict in the statistics module.  Per the paper's principle
+val is_consistent : opts:Options.t -> t -> bool
+(** Evaluate the node's denial constraints against the store (through
+    {!Wrapper.eval_source}, so [opts.index_budget] holds); record the
+    verdict in the statistics module.  Per the paper's principle
     (d), callers must not propagate data from an inconsistent node. *)

@@ -8,7 +8,6 @@ type durability = Dur_off | Dur_volatile | Dur_wal
 type t = {
   use_sent_cache : bool;
   use_subsumption_dedup : bool;
-  naive_delta : bool;
   latency : float;
   byte_cost : float;
   max_update_events : int;
@@ -17,7 +16,6 @@ type t = {
   cache_max_bytes : int;
   cache_ttl : float;
   cache_containment : bool;
-  planner : bool;
   index_budget : int;
   wire_codec : bool;
   pushdown : bool;
@@ -65,7 +63,6 @@ let default =
   {
     use_sent_cache = true;
     use_subsumption_dedup = true;
-    naive_delta = false;
     latency = 0.001;
     byte_cost = 0.000001;
     max_update_events = 2_000_000;
@@ -74,7 +71,6 @@ let default =
     cache_max_bytes = 4 * 1024 * 1024;
     cache_ttl = 0.0;
     cache_containment = true;
-    planner = true;
     index_budget = 16;
     wire_codec = true;
     pushdown = false;
@@ -218,8 +214,6 @@ let validate t =
   | Some _ | None -> ());
   if t.fsync && t.wal_dir = None then
     reject "options: fsync requires wal_dir (the in-memory backend has no disk)";
-  if t.zone_maps && not t.planner then
-    reject "options: zone_maps requires planner (only planned steps carry ranges)";
   if t.link_dicts && not t.wire_codec then
     reject "options: link_dicts requires wire_codec (the estimator has no strings)";
   match List.rev !errors with [] -> Ok () | errors -> Error errors

@@ -1,7 +1,11 @@
 (** Tunable behaviour of the coDB algorithms.
 
     The defaults implement the paper; the switches exist for the
-    ablation experiments (E7/E8/E9 in DESIGN.md).  Disabling duplicate
+    ablation experiments (E7/E9 in DESIGN.md) and as deployment knobs.
+    Rules and queries always evaluate through one path — the
+    cost-based planner, semi-naive on deltas ({!Codb_cq.Eval}); the
+    options that shape evaluation ([index_budget], [zone_maps]) are
+    read in one place, {!Wrapper.eval_source}.  Disabling duplicate
     suppression on a cyclic network with existential head variables
     can make the fix-point diverge — that is the point of the
     ablation — so [max_update_events] bounds every run. *)
@@ -27,9 +31,6 @@ type t = {
   use_subsumption_dedup : bool;
       (** pre-insert duplicate suppression, null-aware ("we first
           remove from T those tuples which are already in R") *)
-  naive_delta : bool;
-      (** re-evaluate incoming links from scratch instead of
-          semi-naively on the delta (ablation baseline) *)
   latency : float;  (** pipe latency, seconds *)
   byte_cost : float;  (** pipe transfer cost, seconds per byte *)
   max_update_events : int;
@@ -47,10 +48,6 @@ type t = {
   cache_containment : bool;
       (** answer lookups from a cached superset query (the E9
           ablation switch) *)
-  planner : bool;
-      (** evaluate rules and queries through the cost-based join
-          planner ({!Codb_cq.Plan}); [false] falls back to the legacy
-          left-to-right greedy order (the planner ablation baseline) *)
   index_budget : int;
       (** max distinct hash indexes per relation (composite and
           single-column combined); 0 disables index building and every
@@ -170,8 +167,8 @@ type t = {
           before any row is touched.  Off by default: answers are
           provably identical either way, so the seed's
           every-chunk scan stays the bit-for-bit baseline (the E22
-          ablation switch).  Requires [planner] — only planned steps
-          carry range predicates down to the scan *)
+          ablation switch).  Read only by {!Wrapper.eval_source},
+          which fixes it on the evaluation source *)
   link_dicts : bool;
       (** incremental per-(src,dst)-link string dictionaries in the
           wire codec, plus dictionary-encoded WAL records and
@@ -203,7 +200,7 @@ val validate : t -> (unit, string list) result
     without [subscriptions]; [domains] outside [1,256],
     [par_threshold] < 1; [snapshot_every] < 1, an empty [wal_dir],
     [wal_dir] without [Dur_wal], [fsync] without [wal_dir];
-    [zone_maps] without [planner], [link_dicts] without [wire_codec].
+    [link_dicts] without [wire_codec].
     Called by {!System.build} before any node is created. *)
 
 val faults_enabled : t -> bool

@@ -45,6 +45,9 @@ let complete_root rt (st : Q.t) query set_result =
   in
   set_result answers;
   st.Q.qst_closed <- true;
+  (* the result is all a finished root still serves: release the
+     store copy *)
+  st.Q.qst_overlay <- Database.create [];
   (* a partial answer is a lower bound, not the query's answer: caching
      it would keep serving the hole long after the network healed *)
   (match rt.Runtime.node.Node.cache with
@@ -61,7 +64,7 @@ let complete_root rt (st : Q.t) query set_result =
 
 (* Responders on an inconsistent node serve no data (principle (d)). *)
 let may_export (rt : Runtime.t) =
-  rt.node.Node.decl.Config.constraints = [] || Node.is_consistent rt.node
+  rt.node.Node.decl.Config.constraints = [] || Node.is_consistent ~opts:rt.opts rt.node
 
 let finish_responder rt (st : Q.t) ~requester ~in_rule =
   st.Q.qst_closed <- true;
@@ -81,7 +84,10 @@ let finish_responder rt (st : Q.t) ~requester ~in_rule =
     (Reliable.send_noted rt ~dst:requester
        (Payload.Query_done
           { query_id = st.Q.qst_query; request_ref = st.Q.qst_ref; rule_id = in_rule;
-            complete = st.Q.qst_complete }))
+            complete = st.Q.qst_complete }));
+  (* nothing routes to a finished responder any more (its sub-requests
+     are all settled); late timers and messages find no instance *)
+  Hashtbl.remove rt.Runtime.node.Node.query_instances st.Q.qst_ref
 
 let check_completion rt (st : Q.t) =
   if (not st.Q.qst_closed) && Q.all_done st && st.Q.qst_unacked = 0 then
@@ -381,19 +387,12 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                     (* the overlay is authoritatively evaluated on
                        completion; here we only stream the answers the
                        delta newly enables *)
-                    let substs =
+                    let answers =
                       with_counters rt qid (fun () ->
-                          Eval.delta_answers
-                            ~naive:rt.Runtime.opts.Options.naive_delta
-                            ~planner:rt.Runtime.opts.Options.planner
-                            ~zone_maps:rt.Runtime.opts.Options.zone_maps
-                            (Eval.of_database
-                               ~index_budget:rt.Runtime.opts.Options.index_budget
-                               st.Q.qst_overlay)
-                            ~delta_rel:rel ~delta:integration.Wrapper.fresh
-                            root.query)
+                          Wrapper.eval_query_delta ~opts:rt.Runtime.opts
+                            st.Q.qst_overlay root.query ~delta_rel:rel
+                            ~delta:integration.Wrapper.fresh)
                     in
-                    let answers = Codb_cq.Apply.head_tuples root.query substs in
                     root.streamed <-
                       notify_fresh ~on_answer:root.on_answer
                         ~streamed:root.streamed answers
@@ -408,7 +407,6 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
                               let derived =
                                 with_counters rt qid (fun () ->
                                     Wrapper.eval_query_delta ~opts:rt.Runtime.opts
-                                      ~naive:rt.Runtime.opts.Options.naive_delta
                                       st.Q.qst_overlay eff ~delta_rel:rel
                                       ~delta:integration.Wrapper.fresh)
                               in

@@ -30,7 +30,7 @@ type t = {
   qst_query : Ids.query_id;
   qst_ref : string;
   qst_kind : kind;
-  qst_overlay : Database.t;
+  mutable qst_overlay : Database.t;
   mutable qst_pending : pending list;
   mutable qst_sent : Tuple_set.t;
   mutable qst_closed : bool;

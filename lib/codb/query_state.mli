@@ -57,7 +57,9 @@ type t = {
   qst_query : Ids.query_id;
   qst_ref : string;  (** our own instance reference *)
   qst_kind : kind;
-  qst_overlay : Database.t;
+  mutable qst_overlay : Database.t;
+      (** the store copy the instance evaluates over; a root swaps it
+          for an empty database once its result is set *)
   mutable qst_pending : pending list;
   mutable qst_sent : Tuple_set.t;  (** responder: tuples already sent upstream *)
   mutable qst_closed : bool;

@@ -21,9 +21,7 @@ let with_counters rt f =
       sb.Stats.sb_zpruned <- sb.Stats.sb_zpruned + zpruned)
     f
 
-let source rt =
-  Eval.of_database ~index_budget:rt.Runtime.opts.Options.index_budget
-    rt.Runtime.node.Node.store
+let source rt = Wrapper.eval_source rt.Runtime.opts rt.Runtime.node.Node.store
 
 let payload_size rt p =
   if rt.Runtime.opts.Options.wire_codec then Payload.encoded_size p
@@ -137,13 +135,11 @@ let on_store_delta rt ~rel ~delta ~tag =
               let d =
                 with_counters rt (fun () ->
                     if opts.Options.sub_naive then
-                      Sub.reevaluate sub ~zone_maps:opts.Options.zone_maps
-                        ~planner:opts.Options.planner ~source:src ~tag
+                      Sub.reevaluate sub ~source:src ~tag
                     else begin
                       let d, dropped =
-                        Sub.apply_delta sub ~zone_maps:opts.Options.zone_maps
-                          ~planner:opts.Options.planner ~source:src
-                          ~delta_rel:rel ~delta ~tag
+                        Sub.apply_delta sub ~source:src ~delta_rel:rel ~delta
+                          ~tag
                       in
                       sb.Stats.sb_prefiltered <-
                         sb.Stats.sb_prefiltered + dropped;
@@ -157,15 +153,12 @@ let refresh_all rt ~tag =
   match rt.Runtime.node.Node.subs with
   | None -> ()
   | Some reg ->
-      let opts = rt.Runtime.opts in
       let src = source rt in
       List.iter
         (fun (entry : Registry.entry) ->
           let d =
             with_counters rt (fun () ->
-                Sub.refresh entry.Registry.e_sub
-                  ~zone_maps:opts.Options.zone_maps
-                  ~planner:opts.Options.planner ~source:src ~tag)
+                Sub.refresh entry.Registry.e_sub ~source:src ~tag)
           in
           deliver rt entry d)
         (Registry.entries reg)
@@ -212,10 +205,7 @@ let register_local rt ?on_delta query =
                 ~owner:Durable.Olocal ~query_text:(query_text query);
               let d =
                 with_counters rt (fun () ->
-                    Sub.refresh sub
-                      ~zone_maps:rt.Runtime.opts.Options.zone_maps
-                      ~planner:rt.Runtime.opts.Options.planner
-                      ~source:(source rt) ~tag:"seed")
+                    Sub.refresh sub ~source:(source rt) ~tag:"seed")
               in
               deliver rt
                 { Registry.e_sub = sub; e_owner = Registry.Local on_delta }
@@ -319,10 +309,7 @@ let on_register rt ~src ~sub_id ~text =
                           { sub_id; accepted = true; reason = "" }));
                   let d =
                     with_counters rt (fun () ->
-                        Sub.refresh sub
-                          ~zone_maps:rt.Runtime.opts.Options.zone_maps
-                          ~planner:rt.Runtime.opts.Options.planner
-                          ~source:(source rt)
+                        Sub.refresh sub ~source:(source rt)
                           ~tag:(if existed then "rearm" else "seed"))
                   in
                   deliver rt

@@ -64,7 +64,7 @@ let finalize rt (st : U.t) =
 (* May this node export data?  Principle (d): an inconsistent node
    keeps routing but never contributes its own (tainted) data. *)
 let may_export (rt : Runtime.t) =
-  rt.node.Node.decl.Config.constraints = [] || Node.is_consistent rt.node
+  rt.node.Node.decl.Config.constraints = [] || Node.is_consistent ~opts:rt.opts rt.node
 
 let close_everything (st : U.t) =
   Hashtbl.iter (fun rule _ -> U.close_out st rule) (Hashtbl.copy st.U.ust_out);
@@ -382,7 +382,6 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
             let derived =
               with_counters us (fun () ->
                   Wrapper.eval_rule_delta ~opts:rt.Runtime.opts
-                    ~naive:rt.Runtime.opts.Options.naive_delta
                     rt.Runtime.node.Node.store inc ~delta_rel:rel
                     ~delta:integration.Wrapper.fresh)
             in

@@ -19,6 +19,12 @@ type integration = {
   nulls_created : int;
 }
 
+val eval_source : Options.t -> Database.t -> Codb_cq.Eval.source
+(** The only place an [Options.t] becomes an evaluation source: the
+    per-relation [index_budget] and the [zone_maps] pruning hook are
+    fixed here, so every evaluation — rules, deltas, user queries,
+    standing queries, the consistency check — sees the same settings. *)
+
 val eval_query_full : ?opts:Options.t -> Database.t -> Query.t -> Tuple.t list
 (** Evaluate a GLAV-style query (existential head allowed) and return
     its head tuples, existential positions rendered as holes.  Used
@@ -27,7 +33,6 @@ val eval_query_full : ?opts:Options.t -> Database.t -> Query.t -> Tuple.t list
 
 val eval_query_delta :
   ?opts:Options.t ->
-  naive:bool ->
   Database.t ->
   Query.t ->
   delta_rel:string ->
@@ -39,12 +44,11 @@ val eval_rule_full :
   ?opts:Options.t -> Database.t -> Config.rule_decl -> Tuple.t list
 (** Evaluate a coordination rule's body over the database and return
     the head tuples, existential positions rendered as holes.  [opts]
-    (default {!Options.default}) selects planner vs legacy evaluation
-    and the per-relation index budget. *)
+    (default {!Options.default}) configures the source
+    ({!eval_source}). *)
 
 val eval_rule_delta :
   ?opts:Options.t ->
-  naive:bool ->
   Database.t ->
   Config.rule_decl ->
   delta_rel:string ->

@@ -9,8 +9,6 @@ type rows = {
   all : unit -> Tuple.t list;
   all_arr : (unit -> Tuple.t array) option;
   size : int;
-  probe : (int -> Value.t -> Tuple.t list) option;
-  probe_arr : (int -> Value.t -> Tuple.t array) option;
   probe_cols : ((int * Value.t) list -> Tuple.t list) option;
   probe_cols_arr : ((int * Value.t) list -> Tuple.t array) option;
   distinct : (int -> int) option;
@@ -25,8 +23,6 @@ type source = string -> rows
 type counters = {
   probes : int;  (** candidate sets served by an index probe *)
   scans : int;  (** candidate sets served by a full scan *)
-  planned : int;  (** joins executed through a cost-based plan *)
-  legacy : int;  (** joins executed through the legacy greedy order *)
   zone_visited : int;  (** chunks a zone-mapped scan examined *)
   zone_pruned : int;  (** chunks a zone-mapped scan skipped *)
 }
@@ -40,8 +36,6 @@ type counters = {
 type cell = {
   mutable c_probes : int;
   mutable c_scans : int;
-  mutable c_planned : int;
-  mutable c_legacy : int;
   mutable c_zvisited : int;
   mutable c_zpruned : int;
 }
@@ -51,8 +45,6 @@ let cell_key : cell Domain.DLS.key =
       {
         c_probes = 0;
         c_scans = 0;
-        c_planned = 0;
-        c_legacy = 0;
         c_zvisited = 0;
         c_zpruned = 0;
       })
@@ -64,8 +56,6 @@ let counters () =
   {
     probes = c.c_probes;
     scans = c.c_scans;
-    planned = c.c_planned;
-    legacy = c.c_legacy;
     zone_visited = c.c_zvisited;
     zone_pruned = c.c_zpruned;
   }
@@ -74,8 +64,6 @@ let reset_counters () =
   let c = cell () in
   c.c_probes <- 0;
   c.c_scans <- 0;
-  c.c_planned <- 0;
-  c.c_legacy <- 0;
   c.c_zvisited <- 0;
   c.c_zpruned <- 0
 
@@ -84,8 +72,6 @@ let empty_rows =
     all = (fun () -> []);
     all_arr = Some (fun () -> [||]);
     size = 0;
-    probe = None;
-    probe_arr = None;
     probe_cols = None;
     probe_cols_arr = None;
     distinct = None;
@@ -124,7 +110,7 @@ let packed_view_of_rows ~arity:a flat n =
           done;
           (hits, !hit));
     (* a flattened row list has no chunk structure: nothing to skip *)
-    pv_prune = (fun _ -> None);
+    pv_prune = None;
   }
 
 let rows_of_list ?arity:arity_hint tuples =
@@ -159,8 +145,6 @@ let rows_of_list ?arity:arity_hint tuples =
         all = (fun () -> tuples);
         all_arr = Some (fun () -> Lazy.force arr);
         size = n;
-        probe = None;
-        probe_arr = None;
         probe_cols = None;
         probe_cols_arr = None;
         distinct = None;
@@ -174,8 +158,6 @@ let rows_of_list ?arity:arity_hint tuples =
         all = (fun () -> tuples);
         all_arr = Some (fun () -> Lazy.force arr);
         size = List.length tuples;
-        probe = None;
-        probe_arr = None;
         probe_cols = None;
         probe_cols_arr = None;
         distinct = None;
@@ -183,7 +165,7 @@ let rows_of_list ?arity:arity_hint tuples =
         packed = None;
       }
 
-let of_database ?index_budget db rel =
+let of_database ?index_budget ?(zone_maps = false) db rel =
   match Database.relation_opt db rel with
   | None -> empty_rows
   | Some r ->
@@ -192,14 +174,8 @@ let of_database ?index_budget db rel =
       | None -> ());
       let arity = Codb_relalg.Schema.arity (Relation.schema r) in
       let in_range col = col >= 0 && col < arity in
-      let probe col value =
-        (* an atom of the wrong arity matches nothing; don't let the
-           index raise on its out-of-range columns *)
-        if in_range col then Relation.lookup r ~col value else []
-      in
-      let probe_arr col value =
-        if in_range col then Relation.lookup_arr r ~col value else [||]
-      in
+      (* an atom of the wrong arity matches nothing; don't let the
+         index raise on its out-of-range columns *)
       let probe_cols bindings =
         if List.for_all (fun (col, _) -> in_range col) bindings then
           Relation.lookup_cols r bindings
@@ -217,13 +193,13 @@ let of_database ?index_budget db rel =
         all = (fun () -> Relation.to_list r);
         all_arr = Some (fun () -> Relation.to_array r);
         size = Relation.cardinal r;
-        probe = Some probe;
-        probe_arr = Some probe_arr;
         probe_cols = Some probe_cols;
         probe_cols_arr = Some probe_cols_arr;
         distinct = Some distinct;
         arity = Some arity;
-        packed = Some (Relation.packed_view r);
+        packed =
+          (let view = Relation.packed_view r in
+           Some (if zone_maps then view else { view with Relation.pv_prune = None }));
       }
 
 let source_of_alist alist rel =
@@ -253,8 +229,8 @@ let match_args subst args tuple =
   loop 0 subst
 
 (* One body atom, prepared for the join loop: argument array for O(1)
-   matching, access path, and (planned path only) the probe column set
-   and the comparisons that become ground at this step. *)
+   matching, access path, the plan's probe column set, and the
+   comparisons that become ground at this step. *)
 type prepared = {
   p_args : Term.t array;
   p_rows : rows;
@@ -263,7 +239,7 @@ type prepared = {
   p_ranges : (int * Query.comparison_op * Value.t) list;
 }
 
-let prepare ?(probe = []) ?(comparisons = []) ?(ranges = []) atom rows =
+let prepare ~probe ~comparisons ~ranges atom rows =
   {
     (* constants rewritten to their interned box: [Value.equal] then
        resolves by [==] against canonical stored tuples *)
@@ -287,51 +263,19 @@ let arity_mismatch p =
   | Some a -> Array.length p.p_args <> a
   | None -> false
 
-(* Candidate tuples for an atom under the current bindings, as an
-   array (no list spine per probe).  The legacy path probes a
-   single-column index on the first ground argument position; the
-   planned path probes the plan's column set through the composite
-   index. *)
 let scan_all p =
   match p.p_rows.all_arr with
   | Some all_arr -> all_arr ()
   | None -> Array.of_list (p.p_rows.all ())
 
-let candidates_legacy subst p =
-  match (p.p_rows.probe_arr, p.p_rows.probe) with
-  | None, None ->
-      let c = cell () in
-      c.c_scans <- c.c_scans + 1;
-      scan_all p
-  | probe_arr, probe ->
-      let n = Array.length p.p_args in
-      let rec first_ground i =
-        if i = n then None
-        else
-          match p.p_args.(i) with
-          | Term.Cst c -> Some (i, c)
-          | Term.Var v -> (
-              match Subst.find v subst with
-              | Some value -> Some (i, value)
-              | None -> first_ground (i + 1))
-      in
-      (match first_ground 0 with
-      | Some (col, value) -> (
-          let c = cell () in
-          c.c_probes <- c.c_probes + 1;
-          match probe_arr with
-          | Some probe_arr -> probe_arr col value
-          | None -> Array.of_list ((Option.get probe) col value))
-      | None ->
-          let c = cell () in
-          c.c_scans <- c.c_scans + 1;
-          scan_all p)
-
 let term_value subst = function
   | Term.Cst c -> Some c
   | Term.Var v -> Subst.find v subst
 
-let candidates_planned subst p =
+(* Candidate tuples for an atom under the current bindings, as an
+   array (no list spine per probe): the plan's column set probed
+   through the composite index, or a full scan. *)
+let candidates subst p =
   if p.p_probe = [] || (p.p_rows.probe_cols = None && p.p_rows.probe_cols_arr = None)
   then begin
     let c = cell () in
@@ -356,22 +300,6 @@ let candidates_planned subst p =
     | None -> Array.of_list ((Option.get p.p_rows.probe_cols) bindings)
   end
 
-(* Evaluate the comparisons that became ground; keep the rest pending.
-   [None] means a ground comparison is violated. *)
-let filter_comparisons subst comparisons =
-  let step acc c =
-    match acc with
-    | None -> None
-    | Some pending -> (
-        match (Subst.apply_term subst c.Query.left, Subst.apply_term subst c.Query.right) with
-        | Some v1, Some v2 ->
-            if Query.eval_comparison_op c.Query.op v1 v2 then Some pending else None
-        | _ -> Some (c :: pending))
-  in
-  match List.fold_left step (Some []) comparisons with
-  | None -> None
-  | Some pending -> Some (List.rev pending)
-
 (* Evaluate comparisons the planner proved ground at this step. *)
 let check_comparisons subst comparisons =
   List.for_all
@@ -382,57 +310,6 @@ let check_comparisons subst comparisons =
       | Some v1, Some v2 -> Query.eval_comparison_op c.Query.op v1 v2
       | _ -> false)
     comparisons
-
-(* Static greedy join order of the legacy evaluator: repeatedly pick
-   the atom sharing the most variables with the already-bound set;
-   break ties by smaller relation, preferring atoms with constants. *)
-let order_atoms atoms =
-  let score bound (atom, rows) =
-    let vars = Atom.vars atom in
-    let shared = List.length (List.filter (fun v -> List.mem v bound) vars) in
-    let constants = List.length (List.filter (fun t -> not (Term.is_var t)) atom.Atom.args) in
-    (shared, constants, -rows.size)
-  in
-  let better bound a b = Stdlib.compare (score bound a) (score bound b) > 0 in
-  let rec pick bound acc = function
-    | [] -> List.rev acc
-    | first :: rest ->
-        let choose (best, others) candidate =
-          if better bound candidate best then (candidate, best :: others)
-          else (best, candidate :: others)
-        in
-        let best, others = List.fold_left choose (first, []) rest in
-        let atom, _ = best in
-        let bound = Atom.vars atom @ bound in
-        pick bound (best :: acc) others
-  in
-  pick [] [] atoms
-
-(* Legacy execution: left-to-right over the greedy order, threading
-   pending comparisons.  Substitutions whose comparisons never become
-   ground are dropped. *)
-let join_legacy ordered comparisons =
-  let c = cell () in
-  c.c_legacy <- c.c_legacy + 1;
-  let prepared = List.map (fun (atom, rows) -> prepare atom rows) ordered in
-  if List.exists arity_mismatch prepared then []
-  else
-    let rec go subst pending acc = function
-      | [] -> if pending = [] then subst :: acc else acc
-      | p :: rest ->
-          let try_tuple acc tuple =
-            match match_args subst p.p_args tuple with
-            | None -> acc
-            | Some subst' -> (
-                match filter_comparisons subst' pending with
-                | None -> acc
-                | Some pending' -> go subst' pending' acc rest)
-          in
-          Array.fold_left try_tuple acc (candidates_legacy subst p)
-    in
-    match filter_comparisons Subst.empty comparisons with
-    | None -> []
-    | Some pending -> List.rev (go Subst.empty pending [] prepared)
 
 let plan_of_atoms ?max_probe_cols atoms comparisons =
   let infos =
@@ -495,7 +372,7 @@ type packed_step = {
   k_prune : (int * Relation.bound_op * int) list;
       (* zone-map bounds for a scan step: sargable order predicates
          plus the equality constants already folded into [k_args];
-         empty unless zone maps are enabled *)
+         empty unless the view carries a pruning hook *)
 }
 
 (* What a packed-match consumer sees: the slot array plus the
@@ -508,7 +385,7 @@ type packed_ctx = {
   x_slot : string -> int option;  (* variable name -> slot *)
 }
 
-let join_packed_run ?(zone_maps = false) prepared ~(emit : packed_ctx -> unit -> unit) =
+let join_packed_run prepared ~(emit : packed_ctx -> unit -> unit) =
   (* slots in first-occurrence order over the plan's step sequence *)
   let slot_tbl = Hashtbl.create 16 in
   let slot_names = ref [] (* reversed *) in
@@ -585,10 +462,10 @@ let join_packed_run ?(zone_maps = false) prepared ~(emit : packed_ctx -> unit ->
     (* Zone-map bounds for a scan: the plan's order predicates, plus
        every equality constant visible in the args (including those
        [fold_eq] just rewrote into [Pbindconst]).  Computed only when
-       the feature is on, so the default path is bit-for-bit the
-       seed's every-chunk scan. *)
+       the view can prune (a zone-mapped source), so the default path
+       is bit-for-bit the seed's every-chunk scan. *)
     let prune =
-      if (not zone_maps) || p.p_probe <> [] then []
+      if Option.is_none view.Relation.pv_prune || p.p_probe <> [] then []
       else begin
         let bound_of_op = function
           | Query.Lt -> Relation.Blt
@@ -671,15 +548,13 @@ let join_packed_run ?(zone_maps = false) prepared ~(emit : packed_ctx -> unit ->
       let rows, len =
         if st.k_scan then begin
           counter_cell.c_scans <- counter_cell.c_scans + 1;
-          if st.k_prune == [] then st.k_view.Relation.pv_all ()
-          else begin
-            match st.k_view.Relation.pv_prune st.k_prune with
-            | Some (rows, n, visited, pruned) ->
-                counter_cell.c_zvisited <- counter_cell.c_zvisited + visited;
-                counter_cell.c_zpruned <- counter_cell.c_zpruned + pruned;
-                (rows, n)
-            | None -> st.k_view.Relation.pv_all ()
-          end
+          match st.k_view.Relation.pv_prune with
+          | Some prune when st.k_prune != [] ->
+              let rows, n, visited, pruned = prune st.k_prune in
+              counter_cell.c_zvisited <- counter_cell.c_zvisited + visited;
+              counter_cell.c_zpruned <- counter_cell.c_zpruned + pruned;
+              (rows, n)
+          | Some _ | None -> st.k_view.Relation.pv_all ()
         end
         else begin
           counter_cell.c_probes <- counter_cell.c_probes + 1;
@@ -736,9 +611,9 @@ let join_packed_run ?(zone_maps = false) prepared ~(emit : packed_ctx -> unit ->
   in
   go 0
 
-let join_packed ?zone_maps prepared =
+let join_packed prepared =
   let results = ref [] in
-  join_packed_run ?zone_maps prepared ~emit:(fun ctx ->
+  join_packed_run prepared ~emit:(fun ctx ->
       let nslots = Array.length ctx.x_names in
       fun () ->
         let subst = ref Subst.empty in
@@ -749,9 +624,9 @@ let join_packed ?zone_maps prepared =
   List.rev !results
 
 (* Plan a join and prepare its steps; [None] means the join is
-   provably empty (a never-ground comparison — the legacy evaluator
-   drops every substitution — a violated variable-free comparison, or
-   an atom whose arity disagrees with its relation). *)
+   provably empty (a comparison that never becomes ground, a violated
+   variable-free comparison, or an atom whose arity disagrees with its
+   relation). *)
 let plan_prepared ?max_probe_cols atoms comparisons =
   let plan = plan_of_atoms ?max_probe_cols atoms comparisons in
   if plan.Plan.pl_unbound <> [] then None
@@ -771,15 +646,14 @@ let plan_prepared ?max_probe_cols atoms comparisons =
 let all_packed prepared =
   prepared <> [] && List.for_all (fun p -> p.p_rows.packed <> None) prepared
 
-(* Planned execution: follow the plan's step order, probe the chosen
-   column sets through composite indexes, and evaluate each comparison
-   at the step the planner assigned it to. *)
-let join_planned ?zone_maps ?max_probe_cols atoms comparisons =
-  let c = cell () in
-  c.c_planned <- c.c_planned + 1;
+(* Follow the plan's step order, probe the chosen column sets through
+   composite indexes, and evaluate each comparison at the step the
+   planner assigned it to.  Packed views on every step take the int
+   core; anything else (hand-built boxed sources) matches boxed. *)
+let join ?max_probe_cols atoms comparisons =
   match plan_prepared ?max_probe_cols atoms comparisons with
   | None -> []
-  | Some prepared when all_packed prepared -> join_packed ?zone_maps prepared
+  | Some prepared when all_packed prepared -> join_packed prepared
   | Some prepared ->
       let rec go subst acc = function
         | [] -> subst :: acc
@@ -792,26 +666,20 @@ let join_planned ?zone_maps ?max_probe_cols atoms comparisons =
                     go subst' acc rest
                   else acc
             in
-            Array.fold_left try_tuple acc (candidates_planned subst p)
+            Array.fold_left try_tuple acc (candidates subst p)
       in
       List.rev (go Subst.empty [] prepared)
 
-let join ?(planner = true) ?zone_maps ?max_probe_cols atoms comparisons =
-  if planner then join_planned ?zone_maps ?max_probe_cols atoms comparisons
-  else join_legacy (order_atoms atoms) comparisons
-
-let answers ?planner ?zone_maps ?max_probe_cols source q =
+let answers ?max_probe_cols source q =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
-  join ?planner ?zone_maps ?max_probe_cols atoms q.Query.comparisons
+  join ?max_probe_cols atoms q.Query.comparisons
 
 let plan_for ?max_probe_cols source q =
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
   plan_of_atoms ?max_probe_cols atoms q.Query.comparisons
 
-let delta_answers ?(naive = false) ?planner ?zone_maps ?max_probe_cols source
-    ~delta_rel ~delta q =
-  if naive then answers ?planner ?zone_maps ?max_probe_cols source q
-  else if not (List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body) then []
+let delta_answers ?max_probe_cols source ~delta_rel ~delta q =
+  if not (List.exists (fun a -> String.equal a.Atom.rel delta_rel) q.Query.body) then []
   else begin
     let full = source delta_rel in
     let delta_set = Tuple_set.of_list delta in
@@ -843,7 +711,7 @@ let delta_answers ?(naive = false) ?planner ?zone_maps ?max_probe_cols source
             else (i, (a, source a.Atom.rel) :: acc))
           (0, []) q.Query.body
       in
-      join ?planner ?zone_maps ?max_probe_cols (List.rev atoms) q.Query.comparisons
+      join ?max_probe_cols (List.rev atoms) q.Query.comparisons
     in
     List.concat_map pass occurrences
   end
@@ -863,10 +731,10 @@ end)
    answers are boxed (into canonical tuples) and sorted, so the whole
    evaluation touches boxed values exactly once per distinct answer:
    at the API boundary. *)
-let answer_tuples_packed ?zone_maps prepared (head : Atom.t) =
+let answer_tuples_packed prepared (head : Atom.t) =
   let rows = ref [] in
   let seen : (int array, unit) Hashtbl.t = Hashtbl.create 1024 in
-  join_packed_run ?zone_maps prepared ~emit:(fun ctx ->
+  join_packed_run prepared ~emit:(fun ctx ->
       let proj =
         Array.of_list
           (List.map
@@ -899,23 +767,18 @@ let answer_tuples_packed ?zone_maps prepared (head : Atom.t) =
   List.sort Tuple.compare
     (List.map (fun row -> Array.map Intern.unpack row) !rows)
 
-let answer_tuples ?planner ?zone_maps ?max_probe_cols source q =
+let answer_tuples ?max_probe_cols source q =
   (match Query.well_formed ~allow_existential_head:false q with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Eval.answer_tuples: " ^ reason));
-  let use_planner = match planner with Some false -> false | _ -> true in
   let atoms = List.map (fun a -> (a, source a.Atom.rel)) q.Query.body in
-  if use_planner && List.for_all (fun (_, rows) -> rows.packed <> None) atoms
-     && atoms <> []
-  then begin
-    let c = cell () in
-    c.c_planned <- c.c_planned + 1;
+  if List.for_all (fun (_, rows) -> rows.packed <> None) atoms && atoms <> [] then begin
     match plan_prepared ?max_probe_cols atoms q.Query.comparisons with
     | None -> []
-    | Some prepared -> answer_tuples_packed ?zone_maps prepared q.Query.head
+    | Some prepared -> answer_tuples_packed prepared q.Query.head
   end
   else begin
-    let substs = join ?planner ?zone_maps ?max_probe_cols atoms q.Query.comparisons in
+    let substs = join ?max_probe_cols atoms q.Query.comparisons in
     (* de-duplicate through [Tuple.hash] — O(1) per answer instead of
        a balanced-set insertion's O(log n) full-tuple comparisons —
        then sort once: the same sorted duplicate-free list as the

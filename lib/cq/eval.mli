@@ -5,16 +5,12 @@
     databases, per-query overlays, and the Wrapper's temporary stores
     on mediator nodes.
 
-    Two execution strategies share the same matching core:
-
-    - the {e planned} path (default) runs each join through
-      {!Plan.make}: atoms ordered by estimated selectivity, ground
-      column sets probed through composite hash indexes, comparisons
-      evaluated at their earliest ground position;
-    - the {e legacy} path ([~planner:false]) keeps the original
-      left-to-right greedy order with single-column probes — the
-      ablation baseline, and the reference semantics the planned path
-      must reproduce exactly.
+    One execution strategy: every join runs through {!Plan.make} —
+    atoms ordered by estimated selectivity, ground column sets probed
+    through composite hash indexes, comparisons evaluated at their
+    earliest ground position.  When every atom's access path carries a
+    packed view the join runs on packed ints; hand-built boxed sources
+    run the same plan over boxed tuples.
 
     Two entry points matter to the coDB algorithms:
 
@@ -32,18 +28,12 @@ type rows = {
   all_arr : (unit -> Codb_relalg.Tuple.t array) option;
       (** array variant of [all] for the join inner loop; when absent
           the evaluator converts the list once per scan *)
-  size : int;  (** cardinality, used by both join-order strategies *)
-  probe : (int -> Codb_relalg.Value.t -> Codb_relalg.Tuple.t list) option;
-      (** equality probe on one column, when the backing store has (or
-          can build) a hash index; [None] falls back to scanning *)
-  probe_arr : (int -> Codb_relalg.Value.t -> Codb_relalg.Tuple.t array) option;
-      (** array variant of [probe] ({!Codb_relalg.Relation.lookup_arr}):
-          no list spine allocated per probe *)
+  size : int;  (** cardinality, the planner's first cost input *)
   probe_cols :
     ((int * Codb_relalg.Value.t) list -> Codb_relalg.Tuple.t list) option;
       (** composite probe on a set of column bindings, served by
           {!Codb_relalg.Relation.lookup_cols}; [None] for plain tuple
-          lists *)
+          lists, which the planner then scans *)
   probe_cols_arr :
     ((int * Codb_relalg.Value.t) list -> Codb_relalg.Tuple.t array) option;
       (** array variant of [probe_cols]
@@ -74,8 +64,6 @@ type source = string -> rows
 type counters = {
   probes : int;  (** candidate sets served by an index probe *)
   scans : int;  (** candidate sets served by a full scan *)
-  planned : int;  (** joins executed through a cost-based plan *)
-  legacy : int;  (** joins executed through the legacy greedy order *)
   zone_visited : int;
       (** chunks a zone-mapped scan actually walked (pruned excluded) *)
   zone_pruned : int;  (** chunks skipped outright by zone-map bounds *)
@@ -99,41 +87,34 @@ val rows_of_list : ?arity:int -> Codb_relalg.Tuple.t list -> rows
     probe/scan counters identical to the boxed view.  [arity] lets an
     empty feed declare its width and stay packed-joinable. *)
 
-val of_database : ?index_budget:int -> Codb_relalg.Database.t -> source
+val of_database :
+  ?index_budget:int -> ?zone_maps:bool -> Codb_relalg.Database.t -> source
 (** Probing access paths backed by {!Codb_relalg.Relation}'s lazy,
     incrementally maintained hash indexes.  [index_budget], when
     given, caps the number of indexes per relation (see
-    {!Codb_relalg.Relation.set_index_budget}). *)
-
-val source_of_alist : (string * Codb_relalg.Tuple.t list) list -> source
-(** Scan-only source over an association list. *)
-
-val answers :
-  ?planner:bool ->
-  ?zone_maps:bool ->
-  ?max_probe_cols:int ->
-  source ->
-  Query.t ->
-  Subst.t list
-(** All substitutions of the body variables satisfying body atoms and
-    comparisons.  The result may contain substitutions that project to
-    the same head tuple; projection and de-duplication are the
-    caller's business (see {!Apply}).  [~planner:false] selects the
-    legacy left-to-right evaluator; [max_probe_cols] caps probe width
-    (see {!Plan.make}).  [~zone_maps:true] lets packed scans consult
+    {!Codb_relalg.Relation.set_index_budget}).  [~zone_maps:true]
+    (default [false]) keeps the packed views' pruning hook
+    ({!Codb_relalg.Relation.packed_view}), so planned scans consult
     per-chunk min/max summaries to skip chunks ruled out by the plan's
     sargable order predicates ({!Plan.step.st_ranges}) and constant
     equality bindings — answers are identical either way, only the
     [zone_*] counters move. *)
+
+val source_of_alist : (string * Codb_relalg.Tuple.t list) list -> source
+(** Scan-only source over an association list. *)
+
+val answers : ?max_probe_cols:int -> source -> Query.t -> Subst.t list
+(** All substitutions of the body variables satisfying body atoms and
+    comparisons.  The result may contain substitutions that project to
+    the same head tuple; projection and de-duplication are the
+    caller's business (see {!Apply}).  [max_probe_cols] caps probe
+    width (see {!Plan.make}). *)
 
 val plan_for : ?max_probe_cols:int -> source -> Query.t -> Plan.t
 (** The plan {!answers} would execute — for the CLI [explain]
     subcommand and tests. *)
 
 val delta_answers :
-  ?naive:bool ->
-  ?planner:bool ->
-  ?zone_maps:bool ->
   ?max_probe_cols:int ->
   source ->
   delta_rel:string ->
@@ -142,19 +123,10 @@ val delta_answers :
   Subst.t list
 (** Semi-naive evaluation after [delta] was inserted into [delta_rel].
     The [source] must already reflect the insertion.  If the query
-    does not mention [delta_rel], the result is [[]].
-
-    With [~naive:true] (ablation) the query is instead re-evaluated
-    from scratch with {!answers} — correct but wasteful, and the
-    baseline of experiment E8. *)
+    does not mention [delta_rel], the result is [[]]. *)
 
 val answer_tuples :
-  ?planner:bool ->
-  ?zone_maps:bool ->
-  ?max_probe_cols:int ->
-  source ->
-  Query.t ->
-  Codb_relalg.Tuple.t list
+  ?max_probe_cols:int -> source -> Query.t -> Codb_relalg.Tuple.t list
 (** Evaluate a {e user} query: project the answers on the head and
     de-duplicate.  @raise Invalid_argument if the head has existential
     variables (use {!Apply.head_tuples} for GLAV rule heads). *)

@@ -41,8 +41,8 @@ type t = {
       (** variable-free comparisons, checked once before joining *)
   pl_unbound : Query.comparison list;
       (** comparisons never fully bound by any step: the query has no
-          answers (matching the legacy evaluator, which drops
-          substitutions with pending comparisons) *)
+          answers (a comparison over an unbound variable holds for no
+          substitution) *)
 }
 
 val make : ?max_probe_cols:int -> atom_info list -> Query.comparison list -> t

@@ -586,10 +586,6 @@ let lookup r ~col value =
   check_col r col;
   rows_to_tuples r (probe_rows r [ (col, Intern.pack value) ])
 
-let lookup_arr r ~col value =
-  check_col r col;
-  Array.map (boxed_row r) (probe_rows r [ (col, Intern.pack value) ])
-
 let lookup_cols_rows r bindings =
   List.iter (fun (col, _) -> check_col r col) bindings;
   match normalise_bindings (List.map (fun (c, v) -> (c, Intern.pack v)) bindings) with
@@ -636,7 +632,7 @@ type packed_view = {
   pv_cell : int -> int -> int;
   pv_all : unit -> int array * int;
   pv_probe : int list -> int array -> int array * int;
-  pv_prune : (int * bound_op * int) list -> (int array * int * int * int) option;
+  pv_prune : ((int * bound_op * int) list -> int array * int * int * int) option;
 }
 
 let no_rows = ([||], 0)
@@ -832,7 +828,7 @@ let packed_view r =
                 f
           in
           probe vals);
-    pv_prune = (fun bounds -> Some (prune_rows r bounds));
+    pv_prune = Some (prune_rows r);
   }
 
 let distinct_count r ~col =

@@ -68,11 +68,6 @@ val lookup : t -> col:int -> Value.t -> Tuple.t list
     order of the result is unspecified.
     @raise Invalid_argument if [col] is out of range. *)
 
-val lookup_arr : t -> col:int -> Value.t -> Tuple.t array
-(** {!lookup} returning a fresh array instead of a list: the
-    evaluator's inner join loop iterates candidates by index without
-    allocating a list spine per probe. *)
-
 val lookup_cols : t -> (int * Value.t) list -> Tuple.t list
 (** Composite probe: tuples matching every [(col, value)] binding at
     once, served from a multi-column hash index when the budget
@@ -139,7 +134,7 @@ type packed_view = {
           values aligned with [cols] yields the matching row ids as
           [(ids, n)].  The access path (index, index-then-filter, or
           scan, budget permitting) is resolved on first use. *)
-  pv_prune : (int * bound_op * int) list -> (int array * int * int * int) option;
+  pv_prune : ((int * bound_op * int) list -> int array * int * int * int) option;
       (** [pv_prune bounds] is the zone-map scan: live row ids from
           exactly the chunks whose per-column [min, max] intervals can
           satisfy every [(col, op, packed_const)] bound, as
@@ -148,8 +143,10 @@ type packed_view = {
           check.  Zone maps build lazily on the first call and are
           maintained on insert; removals only leave them conservative
           (wider).  [None] when the view has no chunk structure to
-          prune (e.g. {!Codb_cq.Eval.rows_of_list} feeds) — callers
-          fall back to [pv_all]. *)
+          prune (e.g. {!Codb_cq.Eval.rows_of_list} feeds) or when its
+          source was built without zone maps
+          ({!Codb_cq.Eval.of_database}) — the evaluator then scans
+          with [pv_all]. *)
 }
 (** Zero-copy packed access for the evaluator's join core: candidate
     sets are row ids, matching is integer comparison against column

@@ -63,9 +63,8 @@ let test_negative_index_budget () =
     (Options.validate { Options.default with Options.index_budget = -1 })
 
 let test_planner_knobs_are_valid () =
-  (* budget 0 disables indexing; the planner itself toggles freely *)
-  ok (Options.validate { Options.default with Options.index_budget = 0 });
-  ok (Options.validate { Options.default with Options.planner = false })
+  (* budget 0 disables indexing: every probe degrades to a scan *)
+  ok (Options.validate { Options.default with Options.index_budget = 0 })
 
 let test_wire_knobs_are_valid () =
   ok
@@ -157,13 +156,10 @@ let test_rto_backoff_capped () =
     (Float.is_finite (Options.failure_deadline opts))
 
 let test_dict_knobs () =
-  Alcotest.(check bool) "zone_maps with planner valid" true
+  Alcotest.(check bool) "zone_maps valid" true
     (Options.validate { Options.default with Options.zone_maps = true } = Ok ());
   Alcotest.(check bool) "link_dicts with codec valid" true
     (Options.validate { Options.default with Options.link_dicts = true } = Ok ());
-  rejected ~substring:"zone_maps"
-    (Options.validate
-       { Options.default with Options.zone_maps = true; planner = false });
   rejected ~substring:"link_dicts"
     (Options.validate
        { Options.default with Options.link_dicts = true; wire_codec = false })

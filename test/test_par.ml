@@ -195,7 +195,6 @@ let test_query_identical_across_domains () =
     let opts =
       { (with_domains Options.default domains) with
         Options.pushdown = true;
-        planner = true;
       }
     in
     let sys =

@@ -1,7 +1,9 @@
 (* Property-based tests (qcheck) for the core invariants:
    - the evaluator agrees with a brute-force reference on random
      databases and queries;
-   - semi-naive delta evaluation brackets exactly the gained answers;
+   - semi-naive delta evaluation derives exactly the substitutions the
+     brute-force reference gains from the delta, and brackets the
+     gained answers;
    - printer/parser round-trips on random configurations;
    - the global update is idempotent, terminates, and reaches a
      fix-point (no rule can derive anything new) on random networks,
@@ -84,8 +86,8 @@ let prop_eval_matches_reference =
 
 (* Random databases drawn through the workload generator (seeded,
    optionally zipf-skewed) rather than the hand-rolled gen_db above:
-   the cost-based planner must return exactly the legacy evaluator's
-   answer set, whatever the data shape. *)
+   the cost-based planner must return exactly the brute-force
+   reference's substitution set, whatever the data shape. *)
 let gen_datagen_db =
   let open Gen in
   let* seed = int_range 0 10000 in
@@ -107,28 +109,33 @@ let gen_datagen_db =
 let subst_set substs =
   List.sort_uniq compare (List.map Codb_cq.Subst.bindings substs)
 
-let prop_planner_matches_legacy =
-  Q2.Test.make ~name:"planned evaluation = legacy evaluation" ~count:300
+let prop_planner_matches_reference =
+  Q2.Test.make ~name:"planned evaluation = brute-force reference" ~count:300
     (Gen.pair gen_datagen_db gen_query)
     (fun (db, q) ->
       let source = Eval.of_database db in
-      let legacy = subst_set (Eval.answers ~planner:false source q) in
-      subst_set (Eval.answers ~planner:true source q) = legacy
-      && subst_set (Eval.answers ~max_probe_cols:1 source q) = legacy)
+      let reference = subst_set (Test_eval.reference_substs source q) in
+      subst_set (Eval.answers source q) = reference
+      && subst_set (Eval.answers ~max_probe_cols:1 source q) = reference)
 
-let prop_planner_matches_legacy_on_deltas =
-  Q2.Test.make ~name:"planned delta evaluation = legacy delta evaluation"
+(* Exact semi-naive: the delta pass yields precisely the derivations
+   the full store has and the store without the delta lacks, each
+   once (no de-duplication before comparing). *)
+let prop_delta_matches_reference_difference =
+  Q2.Test.make ~name:"delta evaluation = reference full minus reference old"
     ~count:150
     (Gen.triple gen_datagen_db (Gen.list_size (Gen.int_range 1 5) gen_tuple)
        gen_query)
     (fun (db, delta_candidates, q) ->
-      let source = Eval.of_database db in
-      let delta = Database.insert_all db "r" delta_candidates in
-      let run planner =
-        subst_set
-          (Eval.delta_answers ~planner source ~delta_rel:"r" ~delta q)
+      let old_source =
+        Eval.source_of_alist
+          [ ("r", Database.tuples db "r"); ("s2", Database.tuples db "s2") ]
       in
-      run true = run false)
+      let delta = Database.insert_all db "r" delta_candidates in
+      let source = Eval.of_database db in
+      List.sort compare
+        (List.map Codb_cq.Subst.bindings (Eval.delta_answers source ~delta_rel:"r" ~delta q))
+      = Test_eval.reference_gain ~old_source source q)
 
 let prop_delta_brackets_gain =
   Q2.Test.make ~name:"semi-naive delta brackets the gained answers" ~count:200
@@ -237,9 +244,9 @@ let prop_query_equals_update_on_dags =
 (* Constraint pushdown is an optimisation, not a semantics change: on
    any network (cycles and existential heads included) and any query,
    the answer set, the certain answers and the completeness flag agree
-   across pushdown on/off and planner on/off.  Null identities are
-   run-dependent, so each tuple's nulls are canonicalised to their
-   first-occurrence index inside the tuple before comparison. *)
+   across pushdown on/off.  Null identities are run-dependent, so each
+   tuple's nulls are canonicalised to their first-occurrence index
+   inside the tuple before comparison. *)
 let canonical_nulls t =
   let seen = Hashtbl.create 4 in
   Array.map
@@ -285,10 +292,9 @@ let prop_pushdown_preserves_answers =
     gen_pushdown_case
     (fun ((shape, n, seed, params), qtext, use_query_cache) ->
       let q = parse_query qtext in
-      let run ~pushdown ~planner =
+      let run ~pushdown =
         let opts =
-          { Codb_core.Options.default with
-            Codb_core.Options.pushdown; planner; use_query_cache }
+          { Codb_core.Options.default with Codb_core.Options.pushdown; use_query_cache }
         in
         let sys = System.build_exn ~opts (Topology.generate ~params ~seed shape ~n) in
         let o = System.run_query sys ~at:"n0" q in
@@ -296,13 +302,9 @@ let prop_pushdown_preserves_answers =
           sorted_tuples (List.map canonical_nulls o.System.qo_certain),
           o.System.qo_complete )
       in
-      let a0, c0, f0 = run ~pushdown:false ~planner:true in
-      List.for_all
-        (fun (pushdown, planner) ->
-          let a, c, f = run ~pushdown ~planner in
-          List.equal Tuple.equal a0 a && List.equal Tuple.equal c0 c
-          && Bool.equal f0 f)
-        [ (true, true); (false, false); (true, false) ])
+      let a0, c0, f0 = run ~pushdown:false in
+      let a, c, f = run ~pushdown:true in
+      List.equal Tuple.equal a0 a && List.equal Tuple.equal c0 c && Bool.equal f0 f)
 
 (* Heterogeneous GLAV networks (joins, existential projections,
    filters) over random shapes: the update must terminate, saturate
@@ -546,8 +548,8 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_eval_matches_reference;
-      prop_planner_matches_legacy;
-      prop_planner_matches_legacy_on_deltas;
+      prop_planner_matches_reference;
+      prop_delta_matches_reference_difference;
       prop_delta_brackets_gain;
       prop_roundtrip_config;
       prop_update_terminates_and_is_idempotent;

@@ -152,6 +152,40 @@ let test_streaming_empty_when_no_answers () =
   in
   Alcotest.(check int) "callback never fired" 0 !calls
 
+(* A finished query must not leave per-query state behind: every
+   responder drops its instance (and with it a full copy of its store)
+   once it has reported done, and the root keeps only the result.  On
+   a clique each query spawns one responder per path-labelled branch,
+   so anything retained per responder shows up as heap growth that is
+   linear in the number of queries. *)
+let test_completed_queries_release_instances () =
+  let params = { Topology.default_params with Topology.tuples_per_node = 40 } in
+  let sys = System.build_exn (Topology.generate ~seed:3 ~params Topology.Clique ~n:5) in
+  let q = parse_query "o(x, y) <- data(x, y)" in
+  let pose n =
+    for _ = 1 to n do
+      Alcotest.(check bool) "complete" true (System.run_query sys ~at:"n0" q).System.qo_complete
+    done
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  pose 4;
+  let before = live_words () in
+  let more = 16 in
+  pose more;
+  let per_query = (live_words () - before) / more in
+  List.iter
+    (fun name ->
+      if name <> "n0" then
+        Alcotest.(check int) (name ^ " holds no responder instances") 0
+          (Hashtbl.length (System.node sys name).Codb_core.Node.query_instances))
+    (System.node_names sys);
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grows by %d words per query" per_query)
+    true (per_query < 20_000)
+
 let suite =
   [
     Alcotest.test_case "fetches remote data through rules" `Quick
@@ -176,4 +210,6 @@ let suite =
     Alcotest.test_case "unknown relation rejected" `Quick
       test_query_rejects_unknown_relation;
     Alcotest.test_case "statistics recorded" `Quick test_query_stats_recorded;
+    Alcotest.test_case "completed queries release their instances" `Quick
+      test_completed_queries_release_instances;
   ]

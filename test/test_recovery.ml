@@ -351,6 +351,49 @@ let test_wal_refetches_no_more_than_volatile () =
        vol_bytes)
     true (wal_bytes <= vol_bytes)
 
+(* A restarted peer must resume its transport sequence past every
+   number it handed out before the crash.  Numbers are reserved in
+   WAL chunks; a snapshot that lands inside a chunk truncates the
+   reservation record, so the snapshot itself must carry the
+   reservation's end — otherwise the peer re-issues numbers its
+   importer already recorded, and the importer drops the new messages
+   as duplicates. *)
+let test_wal_restart_never_reuses_sequence_numbers () =
+  let opts = { (dur_opts ()) with Options.snapshot_every = 3 } in
+  let sys = System.build_exn ~opts (chain 3) in
+  let _ = System.run_update sys ~initiator:"n0" in
+  let next_seq () =
+    match (System.node sys "n1").Node.relay with
+    | Some relay -> Codb_core.Relay.next_seq relay
+    | None -> Alcotest.fail "reliable transport is off"
+  in
+  let q = parse_query "ans(k, v) <- data(k, v)" in
+  (* each fact must reach the root on the very refresh after its write *)
+  let write_and_refresh k =
+    let t = tup [ i (1000 + k); s (Printf.sprintf "w%d" k) ] in
+    ignore (System.insert_fact sys ~at:"n1" ~rel:"data" t);
+    ignore (System.run_update sys ~initiator:"n0");
+    Alcotest.(check bool)
+      (Fmt.str "%a reached the root" Tuple.pp t)
+      true
+      (List.exists (Tuple.equal t) (System.local_answers sys ~at:"n0" q))
+  in
+  List.iter write_and_refresh [ 1; 2; 3 ];
+  let issued = next_seq () in
+  Alcotest.(check bool) "snapshots were taken" true
+    ((System.durability_report sys).System.dr_snapshots > 0);
+  System.crash_node sys "n1";
+  System.restart_node sys "n1";
+  let _ = System.run sys in
+  Alcotest.(check bool)
+    (Printf.sprintf "resumes at %d, past the %d numbers already issued"
+       (next_seq ()) issued)
+    true
+    (next_seq () >= issued);
+  List.iter write_and_refresh [ 4; 5; 6 ];
+  Alcotest.(check int) "no message dropped as a duplicate" 0
+    (Report.chaos_report (System.snapshots sys)).Report.chr_dup_suppressed
+
 (* --- subscriptions survive recovery --------------------------------- *)
 
 let test_wal_recovers_subscriptions () =
@@ -451,6 +494,8 @@ let suite =
       test_wal_mid_run_crash_reaches_fault_free_fixpoint;
     Alcotest.test_case "recovery refetches no more than clear-and-refetch"
       `Quick test_wal_refetches_no_more_than_volatile;
+    Alcotest.test_case "restart never reuses sequence numbers" `Quick
+      test_wal_restart_never_reuses_sequence_numbers;
     Alcotest.test_case "subscriptions survive recovery" `Quick
       test_wal_recovers_subscriptions;
     QCheck_alcotest.to_alcotest prop_recovery_reaches_fault_free_fixpoint;

@@ -203,6 +203,27 @@ rule sg at sink: r(x) <- good: r(x);
   in
   Alcotest.(check bool) "flagged inconsistent" true snap.Stats.snap_inconsistent
 
+(* The consistency check evaluates through the same configured source
+   as every other evaluation, so a zero index budget (scans only)
+   holds there too. *)
+let test_consistency_check_honours_index_budget () =
+  let cfg =
+    parse_config
+      {|
+node sink { relation r(x: int, y: int); }
+node src { relation r(x: int, y: int); fact r(7, 3); fact r(3, 5); fact r(1, 2);
+           constraint r(7, y), r(y, 9); }
+rule ss at sink: r(x, y) <- src: r(x, y);
+|}
+  in
+  let opts = { Options.default with Options.index_budget = 0 } in
+  let sys = System.build_exn ~opts cfg in
+  let _ = System.run_update sys ~initiator:"sink" in
+  Alcotest.(check int) "consistent src exports everything" 3
+    (List.length (System.local_answers sys ~at:"sink" (parse_query "o(x, y) <- r(x, y)")));
+  Alcotest.(check int) "no index built on src.r" 0
+    (Relation.index_count (Database.relation (System.node sys "src").Node.store "r"))
+
 let test_dedup_suppresses_duplicates () =
   (* diamond: the same data reaches the sink over two paths; the
      second copy must be suppressed *)
@@ -282,21 +303,6 @@ let test_deps_relevance () =
   let outgoing = List.hd n1.Node.outgoing in
   let dependent = Deps.dependent_incoming n1.Node.incoming ~outgoing in
   Alcotest.(check int) "r01 depends on r10" 1 (List.length dependent)
-
-let test_ablation_naive_delta_same_result () =
-  let opts = { Options.default with Options.naive_delta = true } in
-  let cfg = Topology.generate ~seed:21 Topology.Binary_tree ~n:7 ~params:{ Topology.default_params with tuples_per_node = 15 } in
-  let sys_naive = System.build_exn ~opts cfg in
-  let sys_semi = System.build_exn (Topology.generate ~seed:21 Topology.Binary_tree ~n:7 ~params:{ Topology.default_params with tuples_per_node = 15 }) in
-  let _ = System.run_update sys_naive ~initiator:"n0" in
-  let _ = System.run_update sys_semi ~initiator:"n0" in
-  let q = parse_query "o(x, y) <- data(x, y)" in
-  List.iter
-    (fun node ->
-      check_tuples (node ^ " same contents")
-        (System.local_answers sys_semi ~at:node q)
-        (System.local_answers sys_naive ~at:node q))
-    (System.node_names sys_naive)
 
 let test_ablation_no_sent_cache_same_result_more_traffic () =
   let mk opts seed = System.build_exn ~opts (Topology.generate ~seed Topology.Clique ~n:3 ~params:{ Topology.default_params with tuples_per_node = 20 }) in
@@ -471,6 +477,8 @@ let suite =
     Alcotest.test_case "mediator node forwards" `Quick test_mediator_node_forwards;
     Alcotest.test_case "inconsistency does not propagate" `Quick
       test_inconsistent_node_does_not_export;
+    Alcotest.test_case "consistency check honours index_budget = 0" `Quick
+      test_consistency_check_honours_index_budget;
     Alcotest.test_case "duplicate suppression on diamonds" `Quick
       test_dedup_suppresses_duplicates;
     Alcotest.test_case "sent cache bounds clique traffic" `Quick
@@ -480,8 +488,6 @@ let suite =
     Alcotest.test_case "two concurrent updates" `Quick test_concurrent_updates;
     Alcotest.test_case "grid update" `Quick test_grid_update_counts;
     Alcotest.test_case "link dependency computation" `Quick test_deps_relevance;
-    Alcotest.test_case "ablation: naive delta, same fix-point" `Quick
-      test_ablation_naive_delta_same_result;
     Alcotest.test_case "ablation: no sent cache, same fix-point" `Quick
       test_ablation_no_sent_cache_same_result_more_traffic;
   ]

@@ -48,7 +48,7 @@ let test_eval_rule_delta_only_new () =
   in
   let delta = Database.insert_all db "base" [ tup [ i 3; i 30 ] ] in
   check_tuples "delta-derived only" [ tup [ i 3; i 9 ] ]
-    (Wrapper.eval_rule_delta ~naive:false db rule ~delta_rel:"base" ~delta)
+    (Wrapper.eval_rule_delta db rule ~delta_rel:"base" ~delta)
 
 let test_integrate_counts () =
   let db = imp_db () in
