@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench experiments micro cache-bench bench-json wire-bench chaos-bench chaos-bench-durable recovery-bench recovery-bench-tiny pushdown-bench sub-bench scale-bench scale-bench-tiny par-bench par-bench-tiny dict-bench dict-bench-tiny examples clean
+.PHONY: all build test bench experiments micro cache-bench bench-json wire-bench chaos-bench chaos-bench-durable recovery-bench recovery-bench-tiny pushdown-bench sub-bench scale-bench scale-bench-tiny par-bench par-bench-tiny dict-bench dict-bench-tiny profile examples clean
 
 all: build
 
@@ -88,6 +88,27 @@ dict-bench:
 # tiny_reference in BENCH_dict.json
 dict-bench-tiny:
 	dune exec bench/main.exe -- dict-json --tiny
+
+# per-layer profile of one repository-benchmark workload: a traced
+# perfbench run (spans under perfbench/out/), filtered to the
+# per-handler split (dbm.*), the query-overlay copy cost and the GC
+# lines, e.g. make profile WORKLOAD=update-fixpoint SEED=2 PROFILE_S=10
+WORKLOAD ?= query-clique
+SEED ?= 1
+PROFILE_S ?= 20
+
+profile:
+	@python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+	  --seconds $(PROFILE_S) --trace 1 | python3 -c '\
+	import json, sys; \
+	lines = sys.stdin.read().splitlines(); \
+	sys.exit("profile: no result from perfbench") if not lines else None; \
+	d = json.loads(lines[-1]); \
+	print("$(WORKLOAD) seed $(SEED): correct=%s attempted=%d failed=%d" \
+	      % (d["correct"], d["attempted"], d["failed"])); \
+	[print("%-36s %14.3f %s" % (k, m["value"], m["unit"])) \
+	 for k, m in d["metrics"].items() \
+	 if k.startswith(("dbm.", "gc.")) or k == "relalg.copy_us_per_ktuple"]'
 
 examples: build
 	dune exec examples/quickstart.exe

@@ -1,8 +1,10 @@
 (** Per-node state of the query-answering diffusion.
 
     Each incoming [Query_request] spawns one {e instance}: a
-    query-scoped overlay copy of the node's shared relations into
-    which data fetched from acquaintances is integrated, plus the
+    query-scoped overlay of the node's shared relations — a
+    copy-on-write {!Codb_relalg.Database.copy}, so opening one costs a
+    few words per column and the node's later writes never reach it —
+    into which data fetched from acquaintances is integrated, plus the
     bookkeeping needed to stream new results upstream and to signal
     completion.  The node that posed the query runs a {e root}
     instance whose overlay is finally evaluated against the user
@@ -58,8 +60,9 @@ type t = {
   qst_ref : string;  (** our own instance reference *)
   qst_kind : kind;
   mutable qst_overlay : Database.t;
-      (** the store copy the instance evaluates over; a root swaps it
-          for an empty database once its result is set *)
+      (** the copy-on-write store snapshot the instance evaluates
+          over; a root swaps it for an empty database once its result
+          is set *)
   mutable qst_pending : pending list;
   mutable qst_sent : Tuple_set.t;  (** responder: tuples already sent upstream *)
   mutable qst_closed : bool;

@@ -37,8 +37,11 @@ val cardinal : t -> int
 val size_bytes : t -> int
 
 val copy : t -> t
-(** Deep copy (relations are duplicated, contents shared
-    persistently). *)
+(** An independent snapshot: each relation is a copy-on-write
+    {!Relation.copy}, so the copy costs a few words per column and
+    later writes to either database are invisible to the other.  The
+    first write to a copied relation pays the cloning, on either
+    side. *)
 
 val clear : t -> unit
 

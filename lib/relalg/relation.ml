@@ -1,7 +1,7 @@
 (* Columnar storage engine on interned values.
 
    Tuples live as flat packed ints (see [Intern]) in per-column
-   write-once chunk arrays; a row is a slot index shared by every
+   append-only chunk arrays; a row is a slot index shared by every
    column.  A presence bitmap marks removed slots dead (their storage
    is reclaimed on [clear]).  All probing — membership, hash indexes,
    column statistics, subsumption — happens on packed ints: equality
@@ -13,14 +13,19 @@
    seed's sorted order (and caches it) so iteration-order-dependent
    behaviour is unchanged.
 
-   [copy] snapshots in O(columns): full chunks are write-once and
-   shared between the copy and the original; only the partial tail
-   chunk of each column (and the presence bitmap / row index) is
-   cloned.  Like the seed, a copy starts with no hash indexes. *)
+   [copy] is copy-on-write: the copy shares every column chunk (the
+   partial tail included), the presence bitmap and the row index with
+   its source, so it costs a few words per column (plus one per 4,096
+   rows for the chunk directory).  The first write on either side pays
+   instead: a copy's first insert clones each column's tail chunk
+   (O(rows in the tail): tails grow geometrically up to the chunk
+   size), and either side's first insert or remove clones the bitmap
+   and the row index (O(rows)).  Like the seed, a copy starts with no
+   hash indexes. *)
 
 module Tuple_set = Set.Make (Tuple)
 
-(* ---- chunked write-once stores -------------------------------------- *)
+(* ---- chunked append-only stores ------------------------------------- *)
 
 let chunk_shift = 12
 
@@ -28,73 +33,69 @@ let chunk_size = 1 lsl chunk_shift
 
 let chunk_mask = chunk_size - 1
 
-module Ichunks = struct
-  type t = { mutable chunks : int array array; mutable len : int }
+(* A fresh chunk starts this small and doubles up to [chunk_size], so a
+   small relation's tail costs O(rows), not [chunk_size] slots. *)
+let min_tail = 8
 
-  let create () = { chunks = [||]; len = 0 }
+(* An append-only store of [len] slots, addressed [i lsr chunk_shift]
+   then [i land chunk_mask]; every chunk but the last is full.
 
-  let get t i = t.chunks.(i lsr chunk_shift).(i land chunk_mask)
+   Snapshots are copy-on-write.  [snapshot] copies only the outer
+   array: it shares every chunk, the partial tail included, and is
+   marked [shared] so that its first [push] clones the tail.  The
+   source keeps appending in place: it only writes slots at or above
+   its own [len], which no snapshot of it reads.  The one write below
+   [len] is the boxed-row memo ([set_boxed]), which stores equal
+   tuples whoever writes it. *)
+type 'a chunks = { mutable chunks : 'a array array; mutable len : int; mutable shared : bool }
 
-  let push t v =
-    let slot = t.len land chunk_mask in
-    if slot = 0 then begin
-      let outer = t.len lsr chunk_shift in
-      if outer = Array.length t.chunks then begin
-        let grown = Array.make (max 4 (2 * outer)) [||] in
-        Array.blit t.chunks 0 grown 0 outer;
-        t.chunks <- grown
-      end;
-      t.chunks.(outer) <- Array.make chunk_size 0
-    end;
-    t.chunks.(t.len lsr chunk_shift).(slot) <- v;
-    t.len <- t.len + 1
+let new_chunks () = { chunks = [||]; len = 0; shared = false }
 
-  (* Share full (write-once) chunks, clone only the partial tail. *)
-  let snapshot t =
-    let chunks = Array.copy t.chunks in
-    if t.len land chunk_mask <> 0 then begin
-      let tail = t.len lsr chunk_shift in
-      chunks.(tail) <- Array.copy chunks.(tail)
-    end;
-    { chunks; len = t.len }
-end
+(* Can slot [len] be written in place?  Not at a chunk boundary (no
+   chunk yet), nor in a full tail, nor in a tail shared with a copy. *)
+let writable t =
+  let slot = t.len land chunk_mask in
+  (not t.shared) && slot <> 0 && slot < Array.length t.chunks.(t.len lsr chunk_shift)
 
-module Tchunks = struct
-  (* same layout for memoised boxed rows; [[||]] marks "not yet
-     materialised" (a real tuple is never empty: schemas have >= 1
-     attribute) *)
-  type t = { mutable chunks : Tuple.t array array; mutable len : int }
+(* Make slot [len] writable: start a new chunk of [fill]s at a chunk
+   boundary, else replace the tail by a private clone with room for
+   [len]. *)
+let reserve fill t =
+  let outer = t.len lsr chunk_shift and slot = t.len land chunk_mask in
+  if outer = Array.length t.chunks then begin
+    let grown = Array.make (max 4 (2 * outer)) [||] in
+    Array.blit t.chunks 0 grown 0 outer;
+    t.chunks <- grown
+  end;
+  if slot = 0 then t.chunks.(outer) <- Array.make min_tail fill
+  else begin
+    let cap = ref min_tail in
+    while !cap <= slot do
+      cap := 2 * !cap
+    done;
+    let fresh = Array.make !cap fill in
+    Array.blit t.chunks.(outer) 0 fresh 0 slot;
+    t.chunks.(outer) <- fresh
+  end;
+  t.shared <- false
 
-  let absent : Tuple.t = [||]
+let push fill t v =
+  if not (writable t) then reserve fill t;
+  t.chunks.(t.len lsr chunk_shift).(t.len land chunk_mask) <- v;
+  t.len <- t.len + 1
 
-  let create () = { chunks = [||]; len = 0 }
+let snapshot t = { t with chunks = Array.copy t.chunks; shared = true }
 
-  let get t i = t.chunks.(i lsr chunk_shift).(i land chunk_mask)
+(* Reads are typed so that they compile to plain loads. *)
+let get_packed (t : int chunks) i = t.chunks.(i lsr chunk_shift).(i land chunk_mask)
 
-  let set t i v = t.chunks.(i lsr chunk_shift).(i land chunk_mask) <- v
+(* The boxed-row memo: [absent] marks "not yet materialised" (a real
+   tuple is never empty: schemas have >= 1 attribute). *)
+let absent : Tuple.t = [||]
 
-  let push t v =
-    let slot = t.len land chunk_mask in
-    if slot = 0 then begin
-      let outer = t.len lsr chunk_shift in
-      if outer = Array.length t.chunks then begin
-        let grown = Array.make (max 4 (2 * outer)) [||] in
-        Array.blit t.chunks 0 grown 0 outer;
-        t.chunks <- grown
-      end;
-      t.chunks.(outer) <- Array.make chunk_size absent
-    end;
-    t.chunks.(t.len lsr chunk_shift).(slot) <- v;
-    t.len <- t.len + 1
+let get_boxed (t : Tuple.t chunks) i = t.chunks.(i lsr chunk_shift).(i land chunk_mask)
 
-  let snapshot t =
-    let chunks = Array.copy t.chunks in
-    if t.len land chunk_mask <> 0 then begin
-      let tail = t.len lsr chunk_shift in
-      chunks.(tail) <- Array.copy chunks.(tail)
-    end;
-    { chunks; len = t.len }
-end
+let set_boxed (t : Tuple.t chunks) i v = t.chunks.(i lsr chunk_shift).(i land chunk_mask) <- v
 
 (* growable row-id vectors: index buckets *)
 module Ivec = struct
@@ -148,12 +149,13 @@ type zcol = {
 type t = {
   schema : Schema.t;
   arity : int;
-  cols : Ichunks.t array;  (* packed values, one chunk store per column *)
-  mutable boxed : Tchunks.t;  (* memoised canonical boxed rows *)
+  cols : int chunks array;  (* packed values, one chunk store per column *)
+  mutable boxed : Tuple.t chunks;  (* memoised canonical boxed rows *)
   mutable live : Bytes.t;  (* presence bitmap over row slots *)
   mutable nrows : int;  (* total slots, including dead ones *)
   mutable card : int;
   mutable row_index : (int, int list) Hashtbl.t;  (* content hash -> slots *)
+  mutable rows_shared : bool;  (* [live] and [row_index] shared with a copy *)
   indexes : (int list, index) Hashtbl.t;
   mutable index_budget : int;
   (* per-column distinct-value counters keyed by packed value: built on
@@ -173,12 +175,13 @@ let create schema =
   {
     schema;
     arity;
-    cols = Array.init arity (fun _ -> Ichunks.create ());
-    boxed = Tchunks.create ();
+    cols = Array.init arity (fun _ -> new_chunks ());
+    boxed = new_chunks ();
     live = Bytes.make 64 '\000';
     nrows = 0;
     card = 0;
     row_index = Hashtbl.create 64;
+    rows_shared = false;
     indexes = Hashtbl.create 4;
     index_budget = default_index_budget;
     col_counts = Array.make arity None;
@@ -208,6 +211,15 @@ let set_live r row =
   end;
   Bytes.set r.live b (Char.chr (Char.code (Bytes.get r.live b) lor (1 lsl (row land 7))))
 
+(* Before the first write to [live] or [row_index] after a [copy],
+   clone them: both sides of a copy share them until then. *)
+let own_rows r =
+  if r.rows_shared then begin
+    r.live <- Bytes.copy r.live;
+    r.row_index <- Hashtbl.copy r.row_index;
+    r.rows_shared <- false
+  end
+
 let clear_live r row =
   let b = row lsr 3 in
   Bytes.set r.live b (Char.chr (Char.code (Bytes.get r.live b) land lnot (1 lsl (row land 7))))
@@ -219,7 +231,7 @@ let iter_live r f =
 
 (* ---- packed row access ----------------------------------------------- *)
 
-let cell r col row = Ichunks.get r.cols.(col) row
+let cell r col row = get_packed r.cols.(col) row
 
 let pack_tuple (t : Tuple.t) = Array.map Intern.pack t
 
@@ -250,11 +262,11 @@ let find_row r packed =
 
 (* canonical boxed view of a live row, memoised *)
 let boxed_row r row =
-  let b = Tchunks.get r.boxed row in
-  if b != Tchunks.absent then b
+  let b = get_boxed r.boxed row in
+  if b != absent then b
   else begin
     let t = Array.init r.arity (fun c -> Intern.unpack (cell r c row)) in
-    Tchunks.set r.boxed row t;
+    set_boxed r.boxed row t;
     t
   end
 
@@ -378,11 +390,12 @@ let insert r t =
   in
   if present then false
   else begin
+    own_rows r;
     let row = r.nrows in
     for c = 0 to r.arity - 1 do
-      Ichunks.push r.cols.(c) packed.(c)
+      push 0 r.cols.(c) packed.(c)
     done;
-    Tchunks.push r.boxed Tchunks.absent;
+    push absent r.boxed absent;
     r.nrows <- row + 1;
     set_live r row;
     Hashtbl.replace r.row_index h
@@ -400,6 +413,7 @@ let remove r t =
   let row = find_row r packed in
   if row < 0 then false
   else begin
+    own_rows r;
     note_remove r row;
     clear_live r row;
     let h = packed_hash packed in
@@ -415,12 +429,13 @@ let remove r t =
   end
 
 let clear r =
-  Array.iteri (fun c _ -> r.cols.(c) <- Ichunks.create ()) (Array.make r.arity ());
-  r.boxed <- Tchunks.create ();
+  Array.iteri (fun c _ -> r.cols.(c) <- new_chunks ()) (Array.make r.arity ());
+  r.boxed <- new_chunks ();
   r.live <- Bytes.make 64 '\000';
   r.nrows <- 0;
   r.card <- 0;
   r.row_index <- Hashtbl.create 64;
+  r.rows_shared <- false;
   Hashtbl.reset r.indexes;
   r.col_counts <- Array.make r.arity None;
   r.zones <- Array.make r.arity None;
@@ -448,12 +463,11 @@ let fold f r init = List.fold_left (fun acc t -> f t acc) init (to_list r)
 let iter f r = List.iter f (to_list r)
 
 let copy r =
+  r.rows_shared <- true;
   {
     r with
-    cols = Array.map Ichunks.snapshot r.cols;
-    boxed = Tchunks.snapshot r.boxed;
-    live = Bytes.copy r.live;
-    row_index = Hashtbl.copy r.row_index;
+    cols = Array.map snapshot r.cols;
+    boxed = snapshot r.boxed;
     indexes = Hashtbl.create 4;
     col_counts = Array.make r.arity None;
     zones = Array.make r.arity None;
@@ -670,9 +684,9 @@ let zone_for r col =
       for chunk = 0 to nchunks - 1 do
         let base = chunk lsl chunk_shift in
         let last = min (base + chunk_mask) (r.nrows - 1) in
-        let lo = ref (Ichunks.get store base) and hi = ref (Ichunks.get store base) in
+        let lo = ref (get_packed store base) and hi = ref (get_packed store base) in
         for i = base + 1 to last do
-          let v = Ichunks.get store i in
+          let v = get_packed store i in
           if Intern.compare v !lo < 0 then lo := v;
           if Intern.compare v !hi > 0 then hi := v
         done;

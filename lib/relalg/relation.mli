@@ -23,10 +23,13 @@
     statistics — O(1) cardinality and per-column distinct-value
     counts — for the cost-based query planner.
 
-    [copy] is O(columns), not O(tuples): full column chunks are
-    write-once and shared with the copy, which makes the per-query
-    database overlays in the query engine cheap even at millions of
-    tuples. *)
+    [copy] is copy-on-write: it shares all row storage with its
+    source and costs a few words per column, plus one per 4,096
+    tuples.  The sharing ends at the first write.  A copy's first
+    insert clones the tail chunk of each column (O(rows in the
+    tail)), and either side's first insert or remove clones the
+    presence bitmap and the row index (O(rows)).  This is what makes
+    the query engine's per-query overlays cheap. *)
 
 module Tuple_set : Set.S with type elt = Tuple.t
 
@@ -114,6 +117,9 @@ val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit
 
 val copy : t -> t
+(** An independent snapshot, copy-on-write (see above): later writes
+    to either relation are invisible to the other.  Hash indexes and
+    statistics are not copied; the copy rebuilds them on demand. *)
 
 type bound_op = Blt | Ble | Bgt | Bge | Beq
 (** Sargable predicate shapes a scan can push into chunk pruning:

@@ -39,6 +39,39 @@ let test_copy_deep () =
   Alcotest.(check int) "original" 1 (Database.cardinal db);
   Alcotest.(check int) "copy" 2 (Database.cardinal db2)
 
+(* Words allocated by [f ()].  A minor collection and a major slice
+   before each read: on OCaml 5 directly major-allocated blocks only
+   reach [major_words] at a major slice, so without the first one the
+   window would be charged for whatever the previous test left
+   unaccounted, and without the second it would miss [f]'s own. *)
+let allocated_words f =
+  Gc.minor ();
+  ignore (Gc.major_slice 0);
+  let s0 = Gc.quick_stat () in
+  let x = f () in
+  Gc.minor ();
+  ignore (Gc.major_slice 0);
+  let s1 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity x);
+  int_of_float
+    (s1.Gc.minor_words -. s0.Gc.minor_words +. s1.Gc.major_words -. s0.Gc.major_words
+   -. (s1.Gc.promoted_words -. s0.Gc.promoted_words))
+
+(* A copy shares every chunk, the bitmap and the row index with its
+   source, so its cost does not grow with the rows. *)
+let test_copy_allocation_is_constant () =
+  List.iter
+    (fun rows ->
+      let db = Database.create [ r_schema ] in
+      for k = 1 to rows do
+        ignore (Database.insert db "r" (tup [ i k; i (k mod 7) ]))
+      done;
+      let words = allocated_words (fun () -> Database.copy db) in
+      Alcotest.(check bool)
+        (Printf.sprintf "copy of %d rows allocates %d words (<= 256)" rows words)
+        true (words <= 256))
+    [ 10; 5000 ]
+
 let test_equal_contents () =
   let db1 = fresh () and db2 = fresh () in
   ignore (Database.insert db1 "r" (tup [ i 1; i 1 ]));
@@ -65,6 +98,7 @@ let suite =
     Alcotest.test_case "insert and cardinal" `Quick test_insert_and_cardinal;
     Alcotest.test_case "insert_all returns delta" `Quick test_insert_all_delta;
     Alcotest.test_case "copy is deep" `Quick test_copy_deep;
+    Alcotest.test_case "copy allocates O(1) words" `Quick test_copy_allocation_is_constant;
     Alcotest.test_case "equal_contents" `Quick test_equal_contents;
     Alcotest.test_case "schema round trip" `Quick test_schema_round_trip;
     Alcotest.test_case "clear" `Quick test_clear;

@@ -103,6 +103,30 @@ let test_concurrent_queries_do_not_interfere () =
   Alcotest.(check int) "n0 query" 3 (List.length r0);
   Alcotest.(check int) "n1 query" 3 (List.length r1)
 
+(* An instance's overlay is a snapshot of the store at request time:
+   facts the node stores afterwards belong to later queries, even while
+   the overlay still shares storage with the store. *)
+let test_overlay_is_a_snapshot () =
+  let sys = System.build_exn (chain_cfg ()) in
+  let rt1 = System.runtime sys "n1" and n1 = System.node sys "n1" in
+  let q = parse_query "p(x) <- person(x, d)" in
+  let qid = Codb_core.Ids.query_id n1.Codb_core.Node.node_id 100 in
+  let root_ref = Codb_core.Query_engine.start rt1 qid q in
+  let overlay =
+    (Hashtbl.find n1.Codb_core.Node.query_instances root_ref).Codb_core.Query_state.qst_overlay
+  in
+  let late = tup [ s "zed"; s "math" ] in
+  Alcotest.(check bool) "stored" true (System.insert_fact sys ~at:"n1" ~rel:"person" late);
+  check_tuples "overlay misses the late fact" [ tup [ s "carol"; s "bio" ] ]
+    (Database.tuples overlay "person");
+  let _ = System.run sys in
+  check_tuples "answers as of the request"
+    [ tup [ s "alice" ]; tup [ s "bob" ]; tup [ s "carol" ] ]
+    (Option.get (Codb_core.Query_engine.result n1 root_ref));
+  check_tuples "the store keeps the late fact"
+    [ tup [ s "carol" ]; tup [ s "zed" ] ]
+    (System.local_answers sys ~at:"n1" q)
+
 let test_query_rejects_unknown_relation () =
   let sys = System.build_exn (chain_cfg ()) in
   Alcotest.(check bool) "raises" true
@@ -153,7 +177,7 @@ let test_streaming_empty_when_no_answers () =
   Alcotest.(check int) "callback never fired" 0 !calls
 
 (* A finished query must not leave per-query state behind: every
-   responder drops its instance (and with it a full copy of its store)
+   responder drops its instance (and with it its store snapshot)
    once it has reported done, and the root keeps only the result.  On
    a clique each query spawns one responder per path-labelled branch,
    so anything retained per responder shows up as heap growth that is
@@ -207,6 +231,8 @@ let suite =
       test_query_existential_yields_nulls;
     Alcotest.test_case "concurrent queries are isolated" `Quick
       test_concurrent_queries_do_not_interfere;
+    Alcotest.test_case "overlays snapshot the store at request time" `Quick
+      test_overlay_is_a_snapshot;
     Alcotest.test_case "unknown relation rejected" `Quick
       test_query_rejects_unknown_relation;
     Alcotest.test_case "statistics recorded" `Quick test_query_stats_recorded;

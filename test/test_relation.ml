@@ -326,6 +326,111 @@ let prop_columnar_matches_seed =
       && Relation.to_list !r = Ref.to_list !o
       && Relation.cardinal !r = Ref.cardinal !o)
 
+(* ---- copy-on-write snapshots ----------------------------------------- *)
+
+(* An original, a copy and a copy-of-copy stay alive side by side, each
+   paired with its own seed-engine model.  Copies share chunk storage
+   and the row index until one side writes, so any aliasing bug shows
+   up as a disagreement between some relation and its model. *)
+type alias_op =
+  | On of int * op  (* apply to slot 0 (original), 1 (copy) or 2 (copy of copy) *)
+  | To_list of int
+  | Recopy of int  (* slot k becomes a fresh copy of slot k - 1 *)
+
+(* a wider domain than [gen_mixed_tuple], so tails cross the first
+   growth steps *)
+let gen_alias_tuple =
+  Gen.map2 (fun a b -> tup [ i a; b ]) (Gen.int_range 0 11) gen_b
+
+let gen_alias_op =
+  Gen.frequency
+    [
+      ( 12,
+        Gen.map2
+          (fun slot op -> On (slot, op))
+          (Gen.int_range 0 2)
+          (Gen.frequency
+             [
+               (6, Gen.map (fun t -> Insert t) gen_alias_tuple);
+               (2, Gen.map (fun t -> Remove t) gen_alias_tuple);
+               (2, Gen.map (fun (c, v') -> Lookup (c, v')) gen_binding);
+               ( 2,
+                 Gen.map
+                   (fun bs -> Lookup_cols bs)
+                   (Gen.list_size (Gen.int_range 0 3) gen_binding) );
+               (2, Gen.map (fun t -> Subsumed t) gen_holey_tuple);
+             ]) );
+      (2, Gen.map (fun slot -> To_list slot) (Gen.int_range 0 2));
+      (1, Gen.map (fun k -> Recopy k) (Gen.int_range 1 2));
+    ]
+
+let prop_copies_do_not_alias =
+  Q2.Test.make ~name:"original, copy and copy of copy never alias" ~count:300
+    (Gen.list_size (Gen.int_range 0 120) gen_alias_op)
+    (fun ops ->
+      let r = Array.make 3 (Relation.create mixed_schema) in
+      let o = Array.make 3 (Ref.create mixed_schema) in
+      for k = 1 to 2 do
+        r.(k) <- Relation.copy r.(k - 1);
+        o.(k) <- Ref.copy o.(k - 1)
+      done;
+      let agree k =
+        Relation.cardinal r.(k) = Ref.cardinal o.(k)
+        && Relation.to_list r.(k) = Ref.to_list o.(k)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | On (k, op) -> apply_op (r.(k), o.(k)) op
+          | To_list k -> agree k
+          | Recopy k ->
+              r.(k) <- Relation.copy r.(k - 1);
+              o.(k) <- Ref.copy o.(k - 1);
+              true)
+          && List.for_all (fun k -> Relation.cardinal r.(k) = Ref.cardinal o.(k)) [ 0; 1; 2 ])
+        ops
+      && List.for_all agree [ 0; 1; 2 ])
+
+(* Copies taken on both sides of every tail-growth step (8, 16, ...,
+   4,096) and of the first chunk boundary.  Half the copies write
+   right away (cloning a tail the original still appends to), the
+   rest only after the original has grown past them. *)
+let test_copy_across_growth_boundaries () =
+  let n = 5000 in
+  let cuts =
+    List.concat_map (fun p -> [ p - 1; p; p + 1 ]) [ 8; 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ]
+  in
+  let row k = tup [ i k; i k ] in
+  let mark cut = tup [ i (-cut); i cut ] in
+  let r = fresh () in
+  let copies = ref [] in
+  for k = 0 to n - 1 do
+    if List.mem k cuts then begin
+      let c = Relation.copy r in
+      if k mod 2 = 0 then ignore (Relation.insert c (mark k));
+      copies := (k, c) :: !copies
+    end;
+    ignore (Relation.insert r (row k))
+  done;
+  let deep = List.map (fun (k, c) -> (k, c, Relation.copy c)) !copies in
+  List.iter
+    (fun (k, c, cc) ->
+      if k mod 2 = 1 then ignore (Relation.insert c (mark k));
+      ignore (Relation.insert cc (row (n + k)));
+      let prefix = List.init k row in
+      let where = Printf.sprintf "copy at %d" k in
+      check_tuples where (mark k :: prefix) (Relation.to_list c);
+      check_tuples (where ^ ": lookup") [] (Relation.lookup c ~col:0 (i k));
+      Alcotest.(check bool) (where ^ ": last row") (k > 0) (Relation.mem c (row (k - 1)));
+      let deep_expected = if k mod 2 = 0 then mark k :: row (n + k) :: prefix else row (n + k) :: prefix in
+      check_tuples (where ^ ", copied again") deep_expected (Relation.to_list cc))
+    deep;
+  check_tuples "original" (List.init n row) (Relation.to_list r);
+  List.iter
+    (fun cut ->
+      Alcotest.(check bool) "no copy write reaches the original" false (Relation.mem r (mark cut)))
+    cuts
+
 (* --- zone maps ------------------------------------------------------ *)
 
 module Intern = Codb_relalg.Intern
@@ -476,6 +581,9 @@ let suite =
     Alcotest.test_case "array probe variants agree with lists" `Quick
       test_array_variants_agree;
     QCheck_alcotest.to_alcotest prop_columnar_matches_seed;
+    QCheck_alcotest.to_alcotest prop_copies_do_not_alias;
+    Alcotest.test_case "copies across tail-growth and chunk boundaries" `Quick
+      test_copy_across_growth_boundaries;
     Alcotest.test_case "zone maps prune selective ranges" `Quick
       test_zone_prune_selective;
     Alcotest.test_case "zone maps survive removals, copies, clear" `Quick
