@@ -26,7 +26,7 @@ cache-bench:
 bench-json:
 	dune exec bench/main.exe -- bench-json
 
-# wire ablation -> BENCH_wire.json (codec x batching x bloom)
+# wire ablation -> BENCH_wire.json (batching x bloom, codec-sized)
 wire-bench:
 	dune exec bench/main.exe -- wire-json
 

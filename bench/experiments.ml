@@ -269,11 +269,12 @@ let e7 () =
       ]
     (List.map row fracs)
 
-(* E8 — Table 7: ablation of the duplicate-suppression machinery.
+(* E8 — Table 7: the duplicate-suppression machinery at work.  Both
+   devices are always on: the paper's update algorithm requires them.
 
    Plain copy rules cannot expose it (every delta derives only fresh
    tuples), so this experiment uses a hand-crafted network where the
-   optimisations genuinely fire:
+   two devices genuinely fire:
 
    - [psink] imports *projections* from two mid nodes: the same head
      tuple is re-derivable from many body tuples arriving in separate
@@ -324,22 +325,11 @@ let e8_network () =
   }
 
 let e8 () =
-  let variants =
-    [
-      ("full algorithm", Options.default);
-      ("no sent cache", { Options.default with Options.use_sent_cache = false });
-      ( "no pre-insert subsumption",
-        { Options.default with Options.use_subsumption_dedup = false } );
-      ( "neither",
-        { Options.default with Options.use_sent_cache = false;
-          use_subsumption_dedup = false } );
-    ]
-  in
   let count_query = Parser.parse_query "a(k, w) <- anon(k, w)" in
   let count_query = match count_query with Ok q -> q | Error e -> failwith e in
-  let row (name, opts) =
+  let row name =
     Value.reset_null_counter ();
-    let sys = System.build_exn ~opts (e8_network ()) in
+    let sys = System.build_exn (e8_network ()) in
     let wall_start = Unix.gettimeofday () in
     let uid = System.run_update sys ~initiator:"psink" in
     let wall = Unix.gettimeofday () -. wall_start in
@@ -357,18 +347,16 @@ let e8 () =
   in
   Tables.print
     ~title:
-      "E8 (Table 7) - duplicate-suppression ablation (projection + existential \
-       diamond)"
+      "E8 (Table 7) - duplicate suppression (projection + existential diamond)"
     ~header:
       [ "variant"; "data msgs"; "bytes"; "dups"; "nulls"; "esink tuples"; "wall (ms)" ]
-    (List.map row variants)
+    [ row "full algorithm" ]
 
 (* E9 — Table 12: the semantic query-answer cache.  A repeated-query
    workload at the head of a chain: the cold run pays the full
    diffusion, warm runs must be answered from the cache (zero network
-   messages), a narrower query (extra comparison) is answerable from
-   the cached superset only when containment-aware hits are on, and a
-   global update invalidates everything through the epoch stamps so
+   messages), a narrower query (extra comparison) is answered from
+   the cached superset by containment, and a global update invalidates everything through the epoch stamps so
    the next run fetches again. *)
 let e9 () =
   let p = params ~tuples:50 () in
@@ -380,7 +368,6 @@ let e9 () =
   let variants =
     [
       ("no cache", Options.default);
-      ("cache, exact hits only", { Options.with_cache with Options.cache_containment = false });
       ("cache + containment", Options.with_cache);
     ]
   in
@@ -588,8 +575,8 @@ let e13 () =
    the same measurement headlessly and emit BENCH_planner.json. *)
 let e14 () = Planner_bench.run ~json:true ()
 
-(* E15 — wire ablation (compact codec vs the size estimator, batching
-   on/off, Bloom-bounded sent filters), on a skewed ring update.
+(* E15 — wire ablation (batching on/off x Bloom-bounded sent filters,
+   every message sized by the compact codec), on a skewed clique update.
    Implemented in Wire_bench so that `wire-json` can run the same
    measurement headlessly and emit BENCH_wire.json. *)
 let e15 () = Wire_bench.run ~json:true ()

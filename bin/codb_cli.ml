@@ -194,14 +194,13 @@ let explain_cmd file at text max_probe_cols pushdown =
 
 (* --- cache --------------------------------------------------------- *)
 
-let cache_cmd file at text repeat update_between capacity max_bytes ttl no_containment =
+let cache_cmd file at text repeat update_between capacity max_bytes ttl =
   let opts =
     {
       Options.with_cache with
       Options.cache_capacity = capacity;
       cache_max_bytes = max_bytes;
       cache_ttl = ttl;
-      cache_containment = not no_containment;
     }
   in
   let sys = or_die (load_system ~opts file) in
@@ -228,13 +227,11 @@ let cache_cmd file at text repeat update_between capacity max_bytes ttl no_conta
 
 (* --- wire ---------------------------------------------------------- *)
 
-let wire_cmd file initiator estimator link_dicts batch_window batch_max bloom_bits
-    ring_capacity =
+let wire_cmd file initiator link_dicts batch_window batch_max bloom_bits ring_capacity =
   let opts =
     {
       Options.default with
-      Options.wire_codec = not estimator;
-      link_dicts;
+      Options.link_dicts;
       batch_window;
       batch_max_tuples = batch_max;
       sent_bloom_bits = bloom_bits;
@@ -257,9 +254,8 @@ let wire_cmd file initiator estimator link_dicts batch_window batch_max bloom_bi
   | Some w -> Fmt.pr "%a@." Report.pp_wire_report w
   | None -> Fmt.pr "no statistics recorded?@.");
   let c = Codb_net.Network.counters (System.net sys) in
-  Fmt.pr "network: %d message(s) delivered, %d B carried%s@." c.Codb_net.Network.delivered
-    c.Codb_net.Network.total_bytes
-    (if estimator then " (estimated sizes)" else " (encoded sizes)");
+  Fmt.pr "network: %d message(s) delivered, %d B carried (encoded sizes)@."
+    c.Codb_net.Network.delivered c.Codb_net.Network.total_bytes;
   if link_dicts then
     Fmt.pr "%a@." Codb_net.Link_dict.pp_stats (System.link_dict_stats sys);
   0
@@ -785,16 +781,10 @@ let cache_t =
       value & opt float 0.0
       & info [ "ttl" ] ~doc:"Entry lifetime in simulated seconds (0 = no TTL).")
   in
-  let no_containment =
-    Arg.(
-      value & flag
-      & info [ "no-containment" ]
-          ~doc:"Serve exact hits only (the E9 ablation: no containment-aware hits).")
-  in
   Cmd.v (Cmd.info "cache" ~doc)
     Term.(
       const cache_cmd $ file_arg $ at $ text $ repeat $ update_between $ capacity
-      $ max_bytes $ ttl $ no_containment)
+      $ max_bytes $ ttl)
 
 let wire_t =
   let doc = "Run a global update and report its wire behaviour." in
@@ -804,14 +794,6 @@ let wire_t =
       & opt (some string) None
       & info [ "initiator"; "at" ] ~doc:"Initiating node (default: first node).")
   in
-  let estimator =
-    Arg.(
-      value & flag
-      & info [ "estimator" ]
-          ~doc:
-            "Charge messages by the schema-based size estimate instead of the compact \
-             binary codec (the pre-codec behaviour).")
-  in
   let link_dicts =
     Arg.(
       value & flag
@@ -819,8 +801,7 @@ let wire_t =
           ~doc:
             "Train an incremental string dictionary per directed link: a string \
              crosses a link once per epoch, later messages carry a small \
-             back-reference (epochs reset on link faults).  Incompatible with \
-             $(b,--estimator).")
+             back-reference (epochs reset on link faults).")
   in
   let batch_window =
     Arg.(
@@ -854,7 +835,7 @@ let wire_t =
   in
   Cmd.v (Cmd.info "wire" ~doc)
     Term.(
-      const wire_cmd $ file_arg $ initiator $ estimator $ link_dicts $ batch_window
+      const wire_cmd $ file_arg $ initiator $ link_dicts $ batch_window
       $ batch_max $ bloom_bits $ ring_capacity)
 
 let chaos_t =

@@ -56,7 +56,6 @@ type t = {
   lru : (string, entry) Lru.t;
   rlru : (string, rule_entry) Lru.t;
   epochs : Epoch.t;
-  containment : bool;
   mutable c_hits_exact : int;
   mutable c_hits_containment : int;
   mutable c_misses : int;
@@ -69,12 +68,11 @@ type t = {
   mutable c_rule_stores : int;
 }
 
-let create ?max_entries ?max_bytes ?ttl ~containment () =
+let create ?max_entries ?max_bytes ?ttl () =
   {
     lru = Lru.create ?max_entries ?max_bytes ?ttl ();
     rlru = Lru.create ?max_entries ?max_bytes ?ttl ();
     epochs = Epoch.create ();
-    containment;
     c_hits_exact = 0;
     c_hits_containment = 0;
     c_misses = 0;
@@ -313,15 +311,12 @@ let lookup t ~now q =
   in
   match exact with
   | Some e -> serve t Exact e.e_answers
-  | None ->
-      if not t.containment then miss t
-      else begin
-        match containment_scan t ~now ~skip:key q with
-        | Some (winner_key, answers) ->
-            Lru.touch t.lru winner_key;
-            serve t By_containment answers
-        | None -> miss t
-      end
+  | None -> (
+      match containment_scan t ~now ~skip:key q with
+      | Some (winner_key, answers) ->
+          Lru.touch t.lru winner_key;
+          serve t By_containment answers
+      | None -> miss t)
 
 let store t ~now q answers ~sources =
   let key = normalize q in
@@ -361,31 +356,28 @@ let lookup_rule t ~now ~rule_id ~label constraints =
   | Some e -> serve_rule Exact e.re_answers
   | None ->
       let containment_hit =
-        if not t.containment then None
-        else begin
-          let ttl = Lru.ttl t.rlru in
-          (* fold accumulates LRU-first; reverse to prefer recent entries *)
-          let candidates =
-            List.rev
-              (Lru.fold
-                 (fun ~key:k ~value ~stored_at acc ->
-                   if String.equal k key then acc
-                   else if ttl > 0.0 && now -. stored_at > ttl then acc
-                   else if not (Epoch.is_current t.epochs value.re_stamp) then acc
-                   else if
-                     String.equal value.re_rule rule_id
-                     && Specialize.subsumes value.re_constraints constraints
-                     && label_serves ~cached:value.re_label ~requested:label
-                   then (k, value) :: acc
-                   else acc)
-                 t.rlru [])
-          in
-          match candidates with
-          | (k, e) :: _ ->
-              Lru.touch t.rlru k;
-              Some (List.filter (Specialize.matches constraints) e.re_answers)
-          | [] -> None
-        end
+        let ttl = Lru.ttl t.rlru in
+        (* fold accumulates LRU-first; reverse to prefer recent entries *)
+        let candidates =
+          List.rev
+            (Lru.fold
+               (fun ~key:k ~value ~stored_at acc ->
+                 if String.equal k key then acc
+                 else if ttl > 0.0 && now -. stored_at > ttl then acc
+                 else if not (Epoch.is_current t.epochs value.re_stamp) then acc
+                 else if
+                   String.equal value.re_rule rule_id
+                   && Specialize.subsumes value.re_constraints constraints
+                   && label_serves ~cached:value.re_label ~requested:label
+                 then (k, value) :: acc
+                 else acc)
+               t.rlru [])
+        in
+        match candidates with
+        | (k, e) :: _ ->
+            Lru.touch t.rlru k;
+            Some (List.filter (Specialize.matches constraints) e.re_answers)
+        | [] -> None
       in
       (match containment_hit with
       | Some answers -> serve_rule By_containment answers

@@ -62,9 +62,8 @@ type counters = {
   rule_entries : int;  (** live rule-table entries right now *)
 }
 
-val create : ?max_entries:int -> ?max_bytes:int -> ?ttl:float -> containment:bool -> unit -> t
-(** Capacity and TTL semantics as in {!Lru.create}; [containment]
-    enables hit-by-containment (disable for the E9 ablation). *)
+val create : ?max_entries:int -> ?max_bytes:int -> ?ttl:float -> unit -> t
+(** Capacity and TTL semantics as in {!Lru.create}. *)
 
 val normalize : Query.t -> string
 (** The canonical cache key: the query printed after renaming its
@@ -93,9 +92,9 @@ val lookup_rule :
   Specialize.t ->
   hit option
 (** Consult the responder-side rule table.  Exact hit on the
-    normalized [(rule_id, constraints)] key, else (when containment is
-    enabled) any live same-rule entry whose constraints subsume the
-    requested ones, its answers re-filtered by {!Specialize.matches}.
+    normalized [(rule_id, constraints)] key, else any live same-rule
+    entry whose constraints subsume the requested ones, its answers
+    re-filtered by {!Specialize.matches}.
     Either way the entry's label must be a subset of [label]: the
     cached diffusion explored at least the sub-network this request
     may, so its stream is complete for it (extra tuples beyond the

@@ -466,8 +466,7 @@ let restore_sub (node : Node.t) (opts : Options.t) ~sub_id ~owner ~text =
       | Ok query -> (
           Query.intern_constants query;
           match
-            Sub.create ~pushdown:opts.Options.pushdown
-              ~max_preds:opts.Options.pushdown_max_preds ~sub_id query
+            Sub.create ~pushdown:opts.Options.pushdown ~sub_id query
           with
           | Error _ -> ()
           | Ok sub ->

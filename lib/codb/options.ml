@@ -6,8 +6,6 @@
 type durability = Dur_off | Dur_volatile | Dur_wal
 
 type t = {
-  use_sent_cache : bool;
-  use_subsumption_dedup : bool;
   latency : float;
   byte_cost : float;
   max_update_events : int;
@@ -15,11 +13,8 @@ type t = {
   cache_capacity : int;
   cache_max_bytes : int;
   cache_ttl : float;
-  cache_containment : bool;
   index_budget : int;
-  wire_codec : bool;
   pushdown : bool;
-  pushdown_max_preds : int;
   batch_window : float;
   batch_max_tuples : int;
   sent_bloom_bits : int;
@@ -61,8 +56,6 @@ let domains_from_env () =
 
 let default =
   {
-    use_sent_cache = true;
-    use_subsumption_dedup = true;
     latency = 0.001;
     byte_cost = 0.000001;
     max_update_events = 2_000_000;
@@ -70,11 +63,8 @@ let default =
     cache_capacity = 128;
     cache_max_bytes = 4 * 1024 * 1024;
     cache_ttl = 0.0;
-    cache_containment = true;
     index_budget = 16;
-    wire_codec = true;
     pushdown = false;
-    pushdown_max_preds = 16;
     batch_window = 0.0;
     batch_max_tuples = 256;
     sent_bloom_bits = 0;
@@ -109,10 +99,14 @@ let with_cache =
 let validate t =
   let errors = ref [] in
   let reject message = errors := message :: !errors in
-  if t.latency < 0.0 then
-    reject (Printf.sprintf "options: latency must be >= 0 (got %g)" t.latency);
-  if t.byte_cost < 0.0 then
-    reject (Printf.sprintf "options: byte_cost must be >= 0 (got %g)" t.byte_cost);
+  (* NaN fails every comparison, so each float check is phrased as
+     "not (finite and in range)" rather than "out of range" *)
+  let at_least name floor v =
+    if not (Float.is_finite v && v >= floor) then
+      reject (Printf.sprintf "options: %s must be finite and >= %g (got %g)" name floor v)
+  in
+  at_least "latency" 0.0 t.latency;
+  at_least "byte_cost" 0.0 t.byte_cost;
   if t.max_update_events <= 0 then
     reject
       (Printf.sprintf "options: max_update_events must be positive (got %d)"
@@ -122,17 +116,11 @@ let validate t =
   if t.cache_max_bytes < 0 then
     reject
       (Printf.sprintf "options: cache_max_bytes must be >= 0 (got %d)" t.cache_max_bytes);
-  if t.cache_ttl < 0.0 then
-    reject (Printf.sprintf "options: cache_ttl must be >= 0 (got %g)" t.cache_ttl);
+  at_least "cache_ttl" 0.0 t.cache_ttl;
   if t.index_budget < 0 then
     reject
       (Printf.sprintf "options: index_budget must be >= 0 (got %d)" t.index_budget);
-  if t.pushdown_max_preds < 1 then
-    reject
-      (Printf.sprintf "options: pushdown_max_preds must be >= 1 (got %d)"
-         t.pushdown_max_preds);
-  if t.batch_window < 0.0 then
-    reject (Printf.sprintf "options: batch_window must be >= 0 (got %g)" t.batch_window);
+  at_least "batch_window" 0.0 t.batch_window;
   if t.batch_max_tuples < 1 then
     reject
       (Printf.sprintf "options: batch_max_tuples must be >= 1 (got %d)"
@@ -151,20 +139,20 @@ let validate t =
       (Printf.sprintf "options: sent_ring_capacity must be >= 1 (got %d)"
          t.sent_ring_capacity);
   let prob name v =
-    if v < 0.0 || v > 1.0 then
+    if not (v >= 0.0 && v <= 1.0) then
       reject (Printf.sprintf "options: %s must be in [0,1] (got %g)" name v)
   in
   prob "drop_prob" t.drop_prob;
   prob "dup_prob" t.dup_prob;
-  if t.jitter < 0.0 then
-    reject (Printf.sprintf "options: jitter must be >= 0 (got %g)" t.jitter);
+  at_least "jitter" 0.0 t.jitter;
   if t.drop_budget < 0 then
     reject (Printf.sprintf "options: drop_budget must be >= 0 (got %d)" t.drop_budget);
   List.iter
     (fun (a, b, down, up) ->
       if String.equal a b then
         reject (Printf.sprintf "options: flap_plan endpoints must differ (got %s)" a);
-      if down < 0.0 || up <= down then
+      if not (Float.is_finite down && Float.is_finite up && down >= 0.0 && up > down)
+      then
         reject
           (Printf.sprintf
              "options: flap_plan %s-%s must close at >= 0 and reopen later (got %g, %g)"
@@ -172,31 +160,27 @@ let validate t =
     t.flap_plan;
   List.iter
     (fun (name, at, restart) ->
-      if at < 0.0 then
-        reject (Printf.sprintf "options: crash_plan %s must crash at >= 0 (got %g)" name at);
+      if not (Float.is_finite at && at >= 0.0) then
+        reject
+          (Printf.sprintf "options: crash_plan %s must crash at a finite time >= 0 (got %g)"
+             name at);
       match restart with
-      | Some r when r <= at ->
+      | Some r when not (Float.is_finite r && r > at) ->
           reject
             (Printf.sprintf
                "options: crash_plan %s must restart after it crashes (got %g, %g)" name
                at r)
       | Some _ | None -> ())
     t.crash_plan;
-  if t.ack_timeout < 0.0 then
-    reject (Printf.sprintf "options: ack_timeout must be >= 0 (got %g)" t.ack_timeout);
+  at_least "ack_timeout" 0.0 t.ack_timeout;
   if t.max_retries < 0 then
     reject (Printf.sprintf "options: max_retries must be >= 0 (got %d)" t.max_retries);
-  if t.backoff_factor < 1.0 then
-    reject
-      (Printf.sprintf "options: backoff_factor must be >= 1 (got %g)" t.backoff_factor);
+  at_least "backoff_factor" 1.0 t.backoff_factor;
   if t.max_subscriptions < 1 then
     reject
       (Printf.sprintf "options: max_subscriptions must be >= 1 (got %d)"
          t.max_subscriptions);
-  if t.sub_batch_window < 0.0 then
-    reject
-      (Printf.sprintf "options: sub_batch_window must be >= 0 (got %g)"
-         t.sub_batch_window);
+  at_least "sub_batch_window" 0.0 t.sub_batch_window;
   if t.sub_naive && not t.subscriptions then
     reject "options: sub_naive requires subscriptions";
   if t.domains < 1 || t.domains > 256 then
@@ -214,8 +198,6 @@ let validate t =
   | Some _ | None -> ());
   if t.fsync && t.wal_dir = None then
     reject "options: fsync requires wal_dir (the in-memory backend has no disk)";
-  if t.link_dicts && not t.wire_codec then
-    reject "options: link_dicts requires wire_codec (the estimator has no strings)";
   match List.rev !errors with [] -> Ok () | errors -> Error errors
 
 let faults_enabled t =

@@ -1,14 +1,18 @@
 (** Tunable behaviour of the coDB algorithms.
 
-    The defaults implement the paper; the switches exist for the
-    ablation experiments (E7/E9 in DESIGN.md) and as deployment knobs.
-    Rules and queries always evaluate through one path — the
-    cost-based planner, semi-naive on deltas ({!Codb_cq.Eval}); the
-    options that shape evaluation ([index_budget], [zone_maps]) are
-    read in one place, {!Wrapper.eval_source}.  Disabling duplicate
-    suppression on a cyclic network with existential head variables
-    can make the fix-point diverge — that is the point of the
-    ablation — so [max_update_events] bounds every run. *)
+    The defaults implement the paper.  The remaining switches are
+    deployment knobs (latency and cost, caches, batching, fault and
+    crash plans, transport, durability, capacities and budgets) plus
+    the off-by-default features whose ablations DESIGN.md reports
+    (pushdown E17, subscriptions E18, zone maps and link dictionaries
+    E22).  Both of the paper's duplicate-suppression devices — the
+    null-aware pre-insert check and the per-link sent cache — are
+    always on, and traffic is always sized by the binary codec
+    ({!Payload.encoded_size}).  Rules and queries always evaluate
+    through one path — the cost-based planner, semi-naive on deltas
+    ({!Codb_cq.Eval}); the options that shape evaluation
+    ([index_budget], [zone_maps]) are read in one place,
+    {!Wrapper.eval_source}.  [max_update_events] bounds every run. *)
 
 type durability =
   | Dur_off
@@ -25,12 +29,6 @@ type durability =
           snapshots ({!Codb_store}), and restart recovers from them *)
 
 type t = {
-  use_sent_cache : bool;
-      (** per-incoming-link caches of already-sent tuples ("we delete
-          from Ri those tuples which have been already sent") *)
-  use_subsumption_dedup : bool;
-      (** pre-insert duplicate suppression, null-aware ("we first
-          remove from T those tuples which are already in R") *)
   latency : float;  (** pipe latency, seconds *)
   byte_cost : float;  (** pipe transfer cost, seconds per byte *)
   max_update_events : int;
@@ -45,17 +43,10 @@ type t = {
   cache_ttl : float;
       (** entry lifetime in simulated seconds; 0 = entries only die by
           epoch invalidation or capacity pressure *)
-  cache_containment : bool;
-      (** answer lookups from a cached superset query (the E9
-          ablation switch) *)
   index_budget : int;
       (** max distinct hash indexes per relation (composite and
           single-column combined); 0 disables index building and every
           probe degrades to a filtered scan *)
-  wire_codec : bool;
-      (** size update traffic by the compact binary encoding
-          ({!Payload.encoded_size}) instead of the legacy field-count
-          estimator; the E15 ablation switch *)
   pushdown : bool;
       (** push the requester's constant bindings, repeated-variable
           equalities and comparisons into query-time sub-requests
@@ -64,10 +55,6 @@ type t = {
           their own fan-out.  Off by default: the paper's diffusion
           ships every derivable head tuple, and that remains the
           bit-for-bit baseline (the E17 ablation switch) *)
-  pushdown_max_preds : int;
-      (** cap on the predicates one sub-request may carry; a larger
-          constraint degrades to unconstrained so pushdown can never
-          inflate request traffic unboundedly *)
   batch_window : float;
       (** simulated seconds that outgoing update data may linger in a
           per-destination buffer waiting to be coalesced into one
@@ -177,8 +164,7 @@ type t = {
           explicit id, later messages ship only the id; crash, restart
           and link flap bump the link's epoch so a desynced peer
           deterministically falls back to literals.  Off by default
-          (the per-message dictionaries of PR 3, bit for bit).
-          Requires [wire_codec] *)
+          (the per-message dictionaries of PR 3, bit for bit) *)
 }
 
 val default : t
@@ -187,9 +173,10 @@ val with_cache : t
 (** {!default} with [use_query_cache = true]. *)
 
 val validate : t -> (unit, string list) result
-(** Reject non-sensical settings: negative [latency] or [byte_cost],
-    non-positive [max_update_events], negative cache capacities, TTL
-    or [index_budget]; [pushdown_max_preds] < 1; negative
+(** Reject non-sensical settings: any float field, flap or crash time
+    that is NaN or infinite (each error names the field); negative
+    [latency] or [byte_cost], non-positive [max_update_events],
+    negative cache capacities, TTL or [index_budget]; negative
     [batch_window], [batch_max_tuples] < 1,
     [sent_bloom_bits] that is neither 0 nor a power of two within
     budget, [sent_ring_capacity] < 1; probabilities outside [0,1],
@@ -199,8 +186,7 @@ val validate : t -> (unit, string list) result
     [max_subscriptions] < 1, negative [sub_batch_window], [sub_naive]
     without [subscriptions]; [domains] outside [1,256],
     [par_threshold] < 1; [snapshot_every] < 1, an empty [wal_dir],
-    [wal_dir] without [Dur_wal], [fsync] without [wal_dir];
-    [link_dicts] without [wire_codec].
+    [wal_dir] without [Dur_wal], [fsync] without [wal_dir].
     Called by {!System.build} before any node is created. *)
 
 val faults_enabled : t -> bool

@@ -139,10 +139,6 @@ type t =
           [sub_batch_window] (the update protocol's [Update_batch]
           move applied to answer push) *)
 
-val size : t -> int
-(** Estimated payload wire size in bytes (the pre-codec heuristic, kept
-    as the [wire_codec = false] ablation baseline). *)
-
 val encode : ?link:Codec.Dict.sender -> t -> string
 (** Compact binary encoding: tag byte, varint-prefixed fields, zigzag
     integers, per-message string dictionary.  With [link], the message
@@ -161,8 +157,9 @@ val decode : ?link:Codec.Dict.receiver -> string -> (t, string) result
     [Error] — never a wrong string. *)
 
 val encoded_size : ?link:Codec.Dict.sender -> t -> int
-(** Actual encoded byte count, [String.length (encode ?link p)]; falls
-    back to the estimator for [Stats_response]. *)
+(** Actual encoded byte count, [String.length (encode ?link p)]: the
+    one size model of the network simulator.  [Stats_response], which
+    never encodes, is sized by {!Stats.snapshot_size_bytes}. *)
 
 val encode_tuples : Tuple.t list -> string
 (** Encode a bare tuple list (exposed for codec round-trip tests). *)

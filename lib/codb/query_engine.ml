@@ -142,9 +142,7 @@ let fan_out rt (st : Q.t) ~query ~rels ~label =
   let constraints_for (o : Config.rule_decl) =
     match query with
     | None -> Specialize.any
-    | Some q ->
-        Specialize.of_query
-          ~max_preds:rt.Runtime.opts.Options.pushdown_max_preds q ~rel:(head_rel o)
+    | Some q -> Specialize.of_query q ~rel:(head_rel o)
   in
   let consider (o : Config.rule_decl) =
     let target = Peer_id.of_string o.Config.source in
@@ -378,8 +376,7 @@ let on_data rt ~bytes ~request_ref ~rule_id ~tuples qid =
           | Some o ->
               let rel = head_rel o in
               let integration =
-                Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id st.Q.qst_overlay ~rel
-                  tuples
+                Wrapper.integrate ~rule_id st.Q.qst_overlay ~rel tuples
               in
               if integration.Wrapper.fresh <> [] then begin
                 match st.Q.qst_kind with

@@ -23,10 +23,6 @@ let with_counters rt f =
 
 let source rt = Wrapper.eval_source rt.Runtime.opts rt.Runtime.node.Node.store
 
-let payload_size rt p =
-  if rt.Runtime.opts.Options.wire_codec then Payload.encoded_size p
-  else Payload.size p
-
 let query_text q = Fmt.str "%a" Pretty.query q
 
 (* Epoch agreement with the one-shot query cache: the instant an
@@ -53,7 +49,7 @@ let note_delivery rt (d : Sub.delta) =
 let send_push rt ~dst payload =
   let sb = scounters rt in
   sb.Stats.sb_push_msgs <- sb.Stats.sb_push_msgs + 1;
-  sb.Stats.sb_bytes <- sb.Stats.sb_bytes + payload_size rt payload;
+  sb.Stats.sb_bytes <- sb.Stats.sb_bytes + Payload.encoded_size payload;
   ignore (Reliable.send_noted rt ~dst payload)
 
 let flush_dst rt dst =
@@ -176,8 +172,7 @@ let make_sub rt ~sub_id query =
   Query.intern_constants query;
   match missing_relations rt query with
   | [] ->
-      Sub.create ~pushdown:opts.Options.pushdown
-        ~max_preds:opts.Options.pushdown_max_preds ~sub_id query
+      Sub.create ~pushdown:opts.Options.pushdown ~sub_id query
   | missing ->
       Error
         (Printf.sprintf "unknown relation%s: %s"

@@ -371,11 +371,10 @@ let build ?(opts = Options.default) cfg =
       else begin
         let links = Link_dict.create () in
         let size_of =
-          if not opts.Options.wire_codec then fun ~src:_ ~dst:_ p -> Payload.size p
-          else if not opts.Options.link_dicts then fun ~src:_ ~dst:_ p ->
+          if not opts.Options.link_dicts then fun ~src:_ ~dst:_ p ->
             Payload.encoded_size p
           else fun ~src ~dst p ->
-            (* Stats_response never encodes; keep it on the estimator
+            (* Stats_response never encodes; size it without a link
                rather than training the link dictionary with nothing. *)
             match p with
             | Payload.Stats_response _ -> Payload.encoded_size p

@@ -255,14 +255,8 @@ let schedule_flush rt (st : U.t) us dst =
 let send_on_incoming rt (st : U.t) us (inc : Config.rule_decl) ~hops tuples =
   let opts = rt.Runtime.opts in
   let rule = inc.Config.rule_id in
-  let fresh =
-    if opts.Options.use_sent_cache then begin
-      let fresh = List.filter (fun t -> not (U.already_sent st rule t)) tuples in
-      U.add_sent st rule fresh;
-      fresh
-    end
-    else tuples
-  in
+  let fresh = List.filter (fun t -> not (U.already_sent st rule t)) tuples in
+  U.add_sent st rule fresh;
   if fresh <> [] then begin
     let dst = importer_of inc in
     if opts.Options.batch_window > 0.0 then begin
@@ -350,8 +344,7 @@ let integrate_entry rt (st : U.t) us ~rule_id ~tuples ~hops =
   | Some o ->
       let rel = head_rel o in
       let integration =
-        Wrapper.integrate ~opts:rt.Runtime.opts ~rule_id rt.Runtime.node.Node.store ~rel
-          tuples
+        Wrapper.integrate ~rule_id rt.Runtime.node.Node.store ~rel tuples
       in
       us.Stats.us_new_tuples <- us.Stats.us_new_tuples + List.length integration.Wrapper.fresh;
       us.Stats.us_dup_suppressed <-

@@ -30,13 +30,9 @@ let eval_rule_full ?opts db (rule : Config.rule_decl) =
 let eval_rule_delta ?opts db (rule : Config.rule_decl) ~delta_rel ~delta =
   eval_query_delta ?opts db rule.Config.rule_query ~delta_rel ~delta
 
-let integrate ~(opts : Options.t) ~rule_id db ~rel tuples =
+let integrate ~rule_id db ~rel tuples =
   let relation = Database.relation db rel in
-  let is_duplicate t =
-    if opts.Options.use_subsumption_dedup then Relation.subsumed relation t
-    else (not (Tuple.has_hole t)) && Relation.mem relation t
-  in
-  let incoming_fresh = List.filter (fun t -> not (is_duplicate t)) tuples in
+  let incoming_fresh = List.filter (fun t -> not (Relation.subsumed relation t)) tuples in
   let suppressed = List.length tuples - List.length incoming_fresh in
   let nulls_before = Value.null_counter () in
   let instantiated = Apply.instantiate ~rule:rule_id incoming_fresh in

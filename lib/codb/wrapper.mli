@@ -58,11 +58,11 @@ val eval_rule_delta :
     (semi-naive); the database must already contain the delta. *)
 
 val integrate :
-  opts:Options.t -> rule_id:string -> Database.t -> rel:string -> Tuple.t list ->
-  integration
+  rule_id:string -> Database.t -> rel:string -> Tuple.t list -> integration
 (** The update algorithm's local step: suppress tuples already present
-    (null-aware when [opts.use_subsumption_dedup]), instantiate holes
-    with fresh marked nulls, insert the remainder. *)
+    (null-aware: "we first remove from T those tuples which are already
+    in R"), instantiate holes with fresh marked nulls, insert the
+    remainder. *)
 
 val user_answers : ?opts:Options.t -> Database.t -> Query.t -> Tuple.t list
 (** Evaluate a user query (no existential head).  @raise

@@ -94,7 +94,7 @@ let conj_of_atom (q : Query.t) (atom : Atom.t) =
     q.Query.comparisons;
   List.rev !preds
 
-let of_query ?(max_preds = max_int) (q : Query.t) ~rel =
+let of_query ?(max_preds = 16) (q : Query.t) ~rel =
   match List.filter (fun a -> String.equal a.Atom.rel rel) q.Query.body with
   | [] -> Any
   | atoms -> (
@@ -277,16 +277,3 @@ let pp ppf = function
 let to_string c = Fmt.str "%a" pp c
 
 let to_key c = to_string (normalize c)
-
-let operand_bytes = function Col _ -> 2 | Const v -> 1 + Value.size_bytes v
-
-let size_bytes = function
-  | Any -> 1
-  | One_of alts ->
-      List.fold_left
-        (fun acc conj ->
-          acc + 2
-          + List.fold_left
-              (fun acc p -> acc + 1 + operand_bytes p.p_left + operand_bytes p.p_right)
-              0 conj)
-        2 alts

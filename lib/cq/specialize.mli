@@ -65,7 +65,8 @@ val of_query : ?max_preds:int -> Query.t -> rel:string -> t
     atom.  [Any] when some atom over [rel] is unconstrained, when [q]
     does not read [rel] at all (conservative: the caller may route
     data we cannot see through), or when the constraint would exceed
-    [max_preds] predicates (bounding request size). *)
+    [max_preds] predicates (default 16), so pushdown can never
+    inflate request traffic unboundedly. *)
 
 val matches : t -> Tuple.t -> bool
 (** Requester-faithful filter; see the module preamble.  Malformed
@@ -103,9 +104,6 @@ val normalize : t -> t
 
 val to_key : t -> string
 (** Deterministic key for {!normalize}d constraints (cache keying). *)
-
-val size_bytes : t -> int
-(** Estimated wire size contribution (the pre-codec heuristic). *)
 
 val equal : t -> t -> bool
 

@@ -160,7 +160,7 @@ let test_containment_hit_refused () =
     = None)
 
 let test_qcache_exact_and_invalidation () =
-  let cache = Qcache.create ~containment:true () in
+  let cache = Qcache.create () in
   let self = Peer_id.of_string "self" and peer = Peer_id.of_string "peer" in
   let q = parse_query "ans(x, y) <- data(x, y)" in
   Qcache.store cache ~now:0.0 q (answers_pair ()) ~sources:[ self; peer ];
@@ -178,19 +178,14 @@ let test_qcache_exact_and_invalidation () =
   Alcotest.(check int) "empty now" 0 c.Qcache.entries
 
 let test_qcache_containment_switch () =
-  let q_broad = parse_query "ans(x, y) <- data(x, y)" in
-  let q_narrow = parse_query "ans(x, y) <- data(x, y), x > 2" in
-  let run ~containment =
-    let cache = Qcache.create ~containment () in
-    Qcache.store cache ~now:0.0 q_broad (answers_pair ())
-      ~sources:[ Peer_id.of_string "self" ];
-    Qcache.lookup cache ~now:1.0 q_narrow
-  in
-  (match run ~containment:true with
+  let cache = Qcache.create () in
+  Qcache.store cache ~now:0.0
+    (parse_query "ans(x, y) <- data(x, y)")
+    (answers_pair ()) ~sources:[ Peer_id.of_string "self" ];
+  match Qcache.lookup cache ~now:1.0 (parse_query "ans(x, y) <- data(x, y), x > 2") with
   | Some { Qcache.kind = Qcache.By_containment; answers } ->
       check_tuples "narrow served" [ tup [ i 5; i 6 ] ] answers
-  | _ -> Alcotest.fail "containment hit expected");
-  Alcotest.(check bool) "ablated: miss" true (run ~containment:false = None)
+  | _ -> Alcotest.fail "containment hit expected"
 
 (* --- end to end through the query engine --------------------------- *)
 

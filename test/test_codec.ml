@@ -183,26 +183,13 @@ let test_encoded_size_is_real () =
         (Payload.encoded_size p))
     payload_samples
 
-let test_dictionary_beats_estimator_on_skew () =
-  (* many tuples sharing few distinct strings: the estimator charges
-     every string at its first-occurrence cost, while the per-message
-     dictionary back-references repeats, so the real encoding is
-     strictly smaller — here by at least the 3 bytes each of the ~195
-     repeated short strings saves *)
-  let tuples = List.init 200 (fun k -> tup [ i k; s (Printf.sprintf "v%d" (k mod 5)) ]) in
-  let p =
-    Payload.Update_data { update_id = uid; rule_id = "r1"; tuples; hops = 1; global = true }
-  in
-  Alcotest.(check bool) "encoded beats the estimate by the dict savings" true
-    (Payload.encoded_size p + 500 < Payload.size p)
-
 let test_stats_response_not_encodable () =
   let stats = Codb_core.Stats.snapshot (Codb_core.Stats.create (Peer_id.of_string "n0")) in
   let p = Payload.Stats_response { stats } in
   (match Payload.encode p with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Stats_response must not claim a binary encoding");
-  Alcotest.(check bool) "estimator fallback still sizes it" true
+  Alcotest.(check bool) "snapshot estimate still sizes it" true
     (Payload.encoded_size p > 0)
 
 let test_malformed_input_rejected () =
@@ -228,7 +215,7 @@ let test_malformed_input_rejected () =
 
 (* Random payloads across every encodable variant: the size model must
    count exactly what [encode] emits, and decoding must invert it.
-   Stats_response is the one (estimator-only) exception, covered by
+   Stats_response is the one (never encoded) exception, covered by
    [test_stats_response_not_encodable]. *)
 module Q2 = QCheck2
 module Gen = QCheck2.Gen
@@ -544,8 +531,6 @@ let suite =
       test_tuples_round_trip;
     Alcotest.test_case "payloads round-trip" `Quick test_payload_round_trip;
     Alcotest.test_case "encoded_size = |encode|" `Quick test_encoded_size_is_real;
-    Alcotest.test_case "dictionary beats the estimator on skew" `Quick
-      test_dictionary_beats_estimator_on_skew;
     Alcotest.test_case "Stats_response stays estimator-sized" `Quick
       test_stats_response_not_encodable;
     Alcotest.test_case "malformed input rejected, never a crash" `Quick

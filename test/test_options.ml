@@ -71,8 +71,7 @@ let test_wire_knobs_are_valid () =
     (Options.validate
        {
          Options.default with
-         Options.wire_codec = false;
-         batch_window = 0.05;
+         Options.batch_window = 0.05;
          batch_max_tuples = 1;
          sent_bloom_bits = 4096;
          sent_ring_capacity = 1;
@@ -145,6 +144,35 @@ let test_bad_chaos_knobs_rejected () =
   rejected ~substring:"backoff_factor"
     (Options.validate { Options.default with Options.backoff_factor = 0.5 })
 
+(* NaN fails every ordered comparison, so a range check phrased as
+   "reject if out of range" lets it through; infinity passes every
+   lower bound. *)
+let test_non_finite_floats_rejected () =
+  let fields =
+    [
+      ("latency", fun v -> { Options.default with Options.latency = v });
+      ("byte_cost", fun v -> { Options.default with Options.byte_cost = v });
+      ("cache_ttl", fun v -> { Options.default with Options.cache_ttl = v });
+      ("batch_window", fun v -> { Options.default with Options.batch_window = v });
+      ("drop_prob", fun v -> { Options.default with Options.drop_prob = v });
+      ("dup_prob", fun v -> { Options.default with Options.dup_prob = v });
+      ("jitter", fun v -> { Options.default with Options.jitter = v });
+      ("ack_timeout", fun v -> { Options.default with Options.ack_timeout = v });
+      ("backoff_factor", fun v -> { Options.default with Options.backoff_factor = v });
+      ("sub_batch_window", fun v -> { Options.default with Options.sub_batch_window = v });
+      ("flap_plan", fun v -> { Options.default with Options.flap_plan = [ ("a", "b", v, 1.0) ] });
+      ("flap_plan", fun v -> { Options.default with Options.flap_plan = [ ("a", "b", 0.1, v) ] });
+      ("crash_plan", fun v -> { Options.default with Options.crash_plan = [ ("a", v, None) ] });
+      ("crash_plan", fun v -> { Options.default with Options.crash_plan = [ ("a", 0.1, Some v) ] });
+    ]
+  in
+  List.iter
+    (fun (name, with_value) ->
+      List.iter
+        (fun v -> rejected ~substring:name (Options.validate (with_value v)))
+        [ Float.nan; Float.infinity; Float.neg_infinity ])
+    fields
+
 let test_rto_backoff_capped () =
   let opts =
     { Options.default with Options.ack_timeout = 0.1; backoff_factor = 2.0; max_retries = 100 }
@@ -158,11 +186,8 @@ let test_rto_backoff_capped () =
 let test_dict_knobs () =
   Alcotest.(check bool) "zone_maps valid" true
     (Options.validate { Options.default with Options.zone_maps = true } = Ok ());
-  Alcotest.(check bool) "link_dicts with codec valid" true
-    (Options.validate { Options.default with Options.link_dicts = true } = Ok ());
-  rejected ~substring:"link_dicts"
-    (Options.validate
-       { Options.default with Options.link_dicts = true; wire_codec = false })
+  Alcotest.(check bool) "link_dicts valid" true
+    (Options.validate { Options.default with Options.link_dicts = true } = Ok ())
 
 let test_errors_accumulate () =
   match
@@ -197,6 +222,7 @@ let suite =
     Alcotest.test_case "chaos knobs are valid" `Quick test_chaos_knobs_are_valid;
     Alcotest.test_case "bad chaos knobs rejected" `Quick test_bad_chaos_knobs_rejected;
     Alcotest.test_case "zone-map/link-dict knobs validated" `Quick test_dict_knobs;
+    Alcotest.test_case "non-finite floats rejected" `Quick test_non_finite_floats_rejected;
     Alcotest.test_case "rto backoff capped" `Quick test_rto_backoff_capped;
     Alcotest.test_case "errors accumulate" `Quick test_errors_accumulate;
     Alcotest.test_case "System.build enforces validate" `Quick

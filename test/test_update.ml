@@ -304,24 +304,6 @@ let test_deps_relevance () =
   let dependent = Deps.dependent_incoming n1.Node.incoming ~outgoing in
   Alcotest.(check int) "r01 depends on r10" 1 (List.length dependent)
 
-let test_ablation_no_sent_cache_same_result_more_traffic () =
-  let mk opts seed = System.build_exn ~opts (Topology.generate ~seed Topology.Clique ~n:3 ~params:{ Topology.default_params with tuples_per_node = 20 }) in
-  let sys_with = mk Options.default 33 in
-  let sys_without = mk { Options.default with Options.use_sent_cache = false } 33 in
-  let u1 = System.run_update sys_with ~initiator:"n0" in
-  let u2 = System.run_update sys_without ~initiator:"n0" in
-  let q = parse_query "o(x, y) <- data(x, y)" in
-  List.iter
-    (fun node ->
-      check_tuples (node ^ " same contents")
-        (System.local_answers sys_with ~at:node q)
-        (System.local_answers sys_without ~at:node q))
-    (System.node_names sys_with);
-  let r1 = Option.get (Report.update_report (System.snapshots sys_with) u1) in
-  let r2 = Option.get (Report.update_report (System.snapshots sys_without) u2) in
-  Alcotest.(check bool) "cache saves traffic" true
-    (r2.Report.ur_bytes >= r1.Report.ur_bytes)
-
 let test_lineage_records_imports () =
   let sys, _ = run_chain () in
   let n0 = System.node sys "n0" in
@@ -383,43 +365,23 @@ let test_partition_mid_update_stays_sound () =
     (System.local_answers full ~at:"n0" q)
     (System.local_answers sys ~at:"n0" q)
 
-let test_divergent_ablation_is_bounded () =
-  (* DESIGN.md: disabling subsumption dedup on a cyclic network with
-     existential heads makes the fix-point diverge (every lap mints
-     fresh nulls).  The event bound must stop it cleanly: the run ends,
-     the update is simply not finished. *)
-  let cfg =
-    parse_config
-      {|
-node a { relation r(x: int, y: int); fact r(1, 10); }
-node b { relation r(x: int, y: int); }
-rule ab at a: r(x, z) <- b: r(x, y);
-rule ba at b: r(x, z) <- a: r(x, y);
-|}
-  in
-  (* both de-duplication devices must fail for the loop to run away:
-     the sent cache alone recognises the repeated hole-tuple, and
-     subsumption alone recognises the existing witness *)
-  let opts =
-    { Options.default with Options.use_subsumption_dedup = false;
-      use_sent_cache = false; max_update_events = 2000 }
-  in
-  let sys = System.build_exn ~opts cfg in
-  let uid = System.start_update sys ~initiator:"a" in
-  let events = System.run sys in
-  Alcotest.(check bool) "hit the bound" true (events >= 2000);
-  let report = Option.get (Report.update_report (System.snapshots sys) uid) in
-  Alcotest.(check bool) "not finished (diverging)" false report.Report.ur_all_finished;
-  (* either device alone restores convergence *)
-  let converges opts =
+let test_event_bound_stops_the_run () =
+  (* [max_update_events] bounds every run: a converging 4-clique that
+     needs 123 events to finish is cut at exactly the bound, and the
+     update reports itself unfinished rather than silently complete *)
+  let cfg = Topology.generate ~seed:1 Topology.Clique ~n:4 in
+  let run opts =
     let sys = System.build_exn ~opts cfg in
-    let uid = System.run_update sys ~initiator:"a" in
-    (Option.get (Report.update_report (System.snapshots sys) uid)).Report.ur_all_finished
+    let uid = System.start_update sys ~initiator:"n0" in
+    let events = System.run sys in
+    (events, Option.get (Report.update_report (System.snapshots sys) uid))
   in
-  Alcotest.(check bool) "sent cache alone converges" true
-    (converges { Options.default with Options.use_subsumption_dedup = false });
-  Alcotest.(check bool) "subsumption alone converges" true
-    (converges { Options.default with Options.use_sent_cache = false })
+  let events, report = run { Options.default with Options.max_update_events = 10 } in
+  Alcotest.(check int) "stopped at the bound" 10 events;
+  Alcotest.(check bool) "not finished" false report.Report.ur_all_finished;
+  let events, report = run Options.default in
+  Alcotest.(check int) "unbounded run" 123 events;
+  Alcotest.(check bool) "finished" true report.Report.ur_all_finished
 
 let test_soak_random_glav_network () =
   (* a larger random network with the full rule mix: terminates and
@@ -459,8 +421,8 @@ let suite =
     Alcotest.test_case "partition mid-update stays sound" `Quick
       test_partition_mid_update_stays_sound;
     Alcotest.test_case "soak: random GLAV network" `Slow test_soak_random_glav_network;
-    Alcotest.test_case "divergent ablation is bounded" `Quick
-      test_divergent_ablation_is_bounded;
+    Alcotest.test_case "event bound stops a converging clique" `Quick
+      test_event_bound_stops_the_run;
     Alcotest.test_case "chain terminates and closes links" `Quick
       test_chain_terminates_and_closes;
     Alcotest.test_case "initiator position does not matter" `Quick
@@ -488,6 +450,4 @@ let suite =
     Alcotest.test_case "two concurrent updates" `Quick test_concurrent_updates;
     Alcotest.test_case "grid update" `Quick test_grid_update_counts;
     Alcotest.test_case "link dependency computation" `Quick test_deps_relevance;
-    Alcotest.test_case "ablation: no sent cache, same fix-point" `Quick
-      test_ablation_no_sent_cache_same_result_more_traffic;
   ]

@@ -1,6 +1,5 @@
 open Helpers
 module Wrapper = Codb_core.Wrapper
-module Options = Codb_core.Options
 
 let rule_of text =
   let cfg =
@@ -54,7 +53,7 @@ let test_integrate_counts () =
   let db = imp_db () in
   ignore (Database.insert db "target" (tup [ i 1; i 7 ]));
   let result =
-    Wrapper.integrate ~opts:Options.default ~rule_id:"r" db ~rel:"target"
+    Wrapper.integrate ~rule_id:"r" db ~rel:"target"
       [ tup [ i 1; i 7 ]; tup [ i 2; i 8 ]; tup [ i 2; i 8 ] ]
   in
   check_tuples "fresh" [ tup [ i 2; i 8 ] ] result.Wrapper.fresh;
@@ -65,7 +64,7 @@ let test_integrate_instantiates_holes () =
   Value.reset_null_counter ();
   let db = imp_db () in
   let result =
-    Wrapper.integrate ~opts:Options.default ~rule_id:"rx" db ~rel:"target"
+    Wrapper.integrate ~rule_id:"rx" db ~rel:"target"
       [ tup [ i 1; Value.Hole 0 ] ]
   in
   Alcotest.(check int) "one null" 1 result.Wrapper.nulls_created;
@@ -73,19 +72,14 @@ let test_integrate_instantiates_holes () =
   | [ t ] -> Alcotest.(check bool) "null stored" true (Value.is_null t.(1))
   | _ -> Alcotest.fail "expected one tuple"
 
-let test_integrate_subsumption_on_off () =
-  let stored_then_hole opts =
-    let db = imp_db () in
-    ignore (Database.insert db "target" (tup [ i 1; i 7 ]));
-    let result =
-      Wrapper.integrate ~opts ~rule_id:"r" db ~rel:"target" [ tup [ i 1; Value.Hole 0 ] ]
-    in
-    List.length result.Wrapper.fresh
+let test_integrate_subsumption () =
+  let db = imp_db () in
+  ignore (Database.insert db "target" (tup [ i 1; i 7 ]));
+  let result =
+    Wrapper.integrate ~rule_id:"r" db ~rel:"target" [ tup [ i 1; Value.Hole 0 ] ]
   in
   Alcotest.(check int) "subsumption drops the hole tuple" 0
-    (stored_then_hole Options.default);
-  Alcotest.(check int) "without subsumption it lands with a null" 1
-    (stored_then_hole { Options.default with Options.use_subsumption_dedup = false })
+    (List.length result.Wrapper.fresh)
 
 let test_user_answers_rejects_rule_heads () =
   let db = src_db [ ("base", tup [ i 1; i 10 ]) ] in
@@ -107,7 +101,7 @@ let suite =
       test_eval_rule_delta_only_new;
     Alcotest.test_case "integration counts" `Quick test_integrate_counts;
     Alcotest.test_case "integration mints nulls" `Quick test_integrate_instantiates_holes;
-    Alcotest.test_case "subsumption toggle" `Quick test_integrate_subsumption_on_off;
+    Alcotest.test_case "subsumption toggle" `Quick test_integrate_subsumption;
     Alcotest.test_case "user queries reject existential heads" `Quick
       test_user_answers_rejects_rule_heads;
   ]
